@@ -44,8 +44,8 @@
 #include "obs/export.h"
 #include "obs/profiler.h"
 #include "query/matching_order.h"
-#include "service/match_service.h"
 #include "simd/intersect.h"
+#include "tenant/tenant_router.h"
 #include "tools/flag_parser.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -54,9 +54,6 @@ namespace {
 
 using namespace fast;
 using bench::ServeBenchFpgaConfig;
-using service::MatchService;
-using service::ServiceOptions;
-using service::ServiceStats;
 
 struct PhaseResult {
   double qps = 0;
@@ -76,16 +73,18 @@ PhaseResult RunPhase(const Graph& graph, const std::vector<QueryGraph>& mix,
                          traces_out = nullptr,
                      std::vector<obs::InstantEvent>* events_out = nullptr,
                      double cpu_share_delta = 0.0) {
-  ServiceOptions options;
+  tenant::RouterOptions options;
   options.num_workers = workers;
   options.queue_capacity = 512;
-  options.plan_cache_capacity = cache_capacity;
   options.default_deadline_seconds = deadline_seconds;
   options.run.fpga = ServeBenchFpgaConfig();
   options.run.cpu_share_delta = cpu_share_delta;
   options.metrics = metrics;
   options.tracing = tracing;
-  MatchService svc(graph, options);
+  tenant::TenantOptions topts;
+  topts.plan_cache_capacity = cache_capacity;
+  tenant::TenantRouter router(options);
+  FAST_CHECK_OK(router.AddTenant(service::SessionKey(), graph, topts));
 
   std::atomic<bool> go{false};
   std::atomic<bool> stop{false};
@@ -99,9 +98,9 @@ PhaseResult RunPhase(const Graph& graph, const std::vector<QueryGraph>& mix,
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       while (!stop.load(std::memory_order_relaxed)) {
         const QueryGraph& q = mix[rng.Uniform(mix.size())];
-        auto id = svc.Submit(q);
+        auto id = router.Submit(service::SessionKey(), q);
         if (!id.ok()) continue;  // admission control: queue full
-        svc.Wait(*id);
+        router.Wait(*id);
       }
     });
   }
@@ -116,16 +115,16 @@ PhaseResult RunPhase(const Graph& graph, const std::vector<QueryGraph>& mix,
   for (auto& t : threads) t.join();
   const double elapsed = wall.ElapsedSeconds();
 
-  const ServiceStats stats = svc.stats();
+  const tenant::RouterStats stats = router.stats();
   PhaseResult r;
   r.qps = static_cast<double>(stats.completed) / elapsed;
   r.p50_ms = stats.latency.P50() * 1e3;
   r.p99_ms = stats.latency.P99() * 1e3;
-  r.hit_rate = stats.cache.HitRate();
+  r.hit_rate = stats.tenants.front().cache.HitRate();
   r.completed = stats.completed;
   r.rejected = stats.rejected_queue_full + stats.rejected_deadline;
-  if (traces_out != nullptr) *traces_out = svc.recent_traces();
-  if (events_out != nullptr) *events_out = svc.request_obs()->recent_events();
+  if (traces_out != nullptr) *traces_out = router.recent_traces();
+  if (events_out != nullptr) *events_out = router.request_obs()->recent_events();
   return r;
 }
 

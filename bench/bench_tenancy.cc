@@ -11,9 +11,9 @@
 //   shared  ONE TenantRouter hosting all tenants behind one worker pool,
 //           clients picking tenants Zipf(s)-skewed (tenant 0 hottest), with
 //           per-tenant admission quotas and equal WRR weights;
-//   split   N independent MatchServices, each with 1/N of the workers, same
-//           skewed traffic — what serving N graphs costs without the shared
-//           pool.
+//   split   N independent one-tenant TenantRouters, each with 1/N of the
+//           workers and of the queue, same skewed traffic — what serving N
+//           graphs costs without the shared pool.
 //
 // CI gates (exit 1): a tenant that completes zero queries in the shared
 // phase (starvation — the WRR dequeue exists to prevent exactly this), or a
@@ -32,7 +32,6 @@
 
 #include "bench/bench_serve_common.h"
 #include "ldbc/ldbc.h"
-#include "service/match_service.h"
 #include "tenant/tenant_router.h"
 #include "tools/flag_parser.h"
 #include "util/logging.h"
@@ -43,8 +42,6 @@ namespace {
 
 using namespace fast;
 using bench::ServeBenchFpgaConfig;
-using service::MatchService;
-using service::ServiceOptions;
 using tenant::RouterOptions;
 using tenant::RouterStats;
 using tenant::TenantOptions;
@@ -186,7 +183,7 @@ PhaseOutcome RunShared(const std::vector<Graph>& graphs,
   return out;
 }
 
-// N independent MatchServices, each with its slice of the worker budget.
+// N independent one-tenant routers, each with its slice of the worker budget.
 PhaseOutcome RunSplit(const std::vector<Graph>& graphs,
                       const std::vector<QueryGraph>& mix,
                       const RouterOptions& router_options,
@@ -197,24 +194,27 @@ PhaseOutcome RunSplit(const std::vector<Graph>& graphs,
   if (total_workers == 0) {
     total_workers = std::max(1u, std::thread::hardware_concurrency());
   }
-  ServiceOptions options;
+  RouterOptions options;
   options.num_workers = std::max<std::size_t>(1, total_workers / graphs.size());
   options.queue_capacity =
       std::max<std::size_t>(1, router_options.queue_capacity / graphs.size());
-  options.plan_cache_capacity = plan_cache_capacity;
   options.default_deadline_seconds = router_options.default_deadline_seconds;
   options.run = router_options.run;
   options.metrics = router_options.metrics;
+  TenantOptions topts;
+  topts.plan_cache_capacity = plan_cache_capacity;
 
-  std::vector<std::unique_ptr<MatchService>> services;
+  std::vector<std::unique_ptr<TenantRouter>> services;
   services.reserve(graphs.size());
   for (const Graph& g : graphs) {
-    services.push_back(std::make_unique<MatchService>(g, options));
+    services.push_back(std::make_unique<TenantRouter>(options));
+    FAST_CHECK_OK(services.back()->AddTenant(service::SessionKey(), g, topts));
   }
   std::vector<std::uint64_t> picks;
   const double elapsed =
       RunClients(clients, duration_seconds, cdf, &picks, [&](std::size_t t, Rng& rng) {
-        auto r = services[t]->SubmitAndWait(mix[rng.Uniform(mix.size())]);
+        auto r = services[t]->SubmitAndWait(service::SessionKey(),
+                                            mix[rng.Uniform(mix.size())]);
         return r.ok();
       });
 

@@ -2,7 +2,7 @@
 // hammer the service (as in bench_service) while a writer thread applies
 // random edge-churn deltas and publishes a new snapshot every
 // --swap-every-ms. The quantity under test is the epoch-based swap path
-// (src/service/match_service.h): queries must keep completing in every
+// (src/service/graph_state.h): queries must keep completing in every
 // inter-swap window — a window with zero completions is a service-wide
 // stall, and the run exits non-zero so the CI smoke step fails.
 //
@@ -24,7 +24,7 @@
 #include "bench/bench_serve_common.h"
 #include "graph/graph_delta.h"
 #include "ldbc/ldbc.h"
-#include "service/match_service.h"
+#include "tenant/tenant_router.h"
 #include "tools/flag_parser.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -33,9 +33,6 @@ namespace {
 
 using namespace fast;
 using bench::ServeBenchFpgaConfig;
-using service::MatchService;
-using service::ServiceOptions;
-using service::ServiceStats;
 
 struct PhaseResult {
   double qps = 0;
@@ -62,13 +59,16 @@ PhaseResult RunPhase(const Graph& graph, const std::vector<QueryGraph>& mix,
                      std::size_t workers, std::size_t clients,
                      double duration_seconds, double swap_every_ms,
                      std::size_t churn, obs::MetricsRegistry* metrics) {
-  ServiceOptions options;
+  tenant::RouterOptions options;
   options.num_workers = workers;
   options.queue_capacity = 512;
-  options.plan_cache_capacity = 64;
   options.run.fpga = ServeBenchFpgaConfig();
   options.metrics = metrics;
-  MatchService svc(graph, options);
+  tenant::TenantOptions topts;
+  topts.plan_cache_capacity = 64;
+  const service::SessionKey id;
+  tenant::TenantRouter router(options);
+  FAST_CHECK_OK(router.AddTenant(id, graph, topts));
 
   std::atomic<bool> go{false};
   std::atomic<bool> stop{false};
@@ -82,9 +82,9 @@ PhaseResult RunPhase(const Graph& graph, const std::vector<QueryGraph>& mix,
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       while (!stop.load(std::memory_order_relaxed)) {
         const QueryGraph& q = mix[rng.Uniform(mix.size())];
-        auto id = svc.Submit(q);
-        if (!id.ok()) continue;  // admission control: queue full
-        svc.Wait(*id);
+        auto rid = router.Submit(id, q);
+        if (!rid.ok()) continue;  // admission control: queue full
+        router.Wait(*rid);
       }
     });
   }
@@ -106,14 +106,14 @@ PhaseResult RunPhase(const Graph& graph, const std::vector<QueryGraph>& mix,
         }
         if (stop.load(std::memory_order_relaxed)) break;
         const GraphDelta delta =
-            RandomChurnDelta(*svc.snapshot().graph, churn, rng);
-        auto epoch = svc.ApplyDelta(delta);
+            RandomChurnDelta(*router.snapshot(id)->graph, churn, rng);
+        auto epoch = router.ApplyDelta(id, delta);
         if (!epoch.ok()) {
           std::fprintf(stderr, "swap: %s\n", epoch.status().ToString().c_str());
           writer_failed.store(true);
           break;
         }
-        const std::uint64_t completed = svc.stats().completed;
+        const std::uint64_t completed = router.stats().completed;
         r.window_completions.push_back(completed - completed_at_last_swap);
         completed_at_last_swap = completed;
       }
@@ -132,15 +132,16 @@ PhaseResult RunPhase(const Graph& graph, const std::vector<QueryGraph>& mix,
   const double elapsed = wall.ElapsedSeconds();
 
   r.writer_failed = writer_failed.load();
-  const ServiceStats stats = svc.stats();
+  const tenant::RouterStats stats = router.stats();
+  const tenant::TenantStats& tstats = stats.tenants.front();
   r.qps = static_cast<double>(stats.completed) / elapsed;
   r.p50_ms = stats.latency.P50() * 1e3;
   r.p99_ms = stats.latency.P99() * 1e3;
-  r.hit_rate = stats.cache.HitRate();
+  r.hit_rate = tstats.cache.HitRate();
   r.completed = stats.completed;
   r.failed = stats.failed;
-  r.swaps = stats.graph_swaps;
-  r.cache_invalidations = stats.cache.invalidations;
+  r.swaps = tstats.graph_swaps;
+  r.cache_invalidations = tstats.cache.invalidations;
   return r;
 }
 

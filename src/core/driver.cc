@@ -73,11 +73,9 @@ StatusOr<FastRunResult> RunFastWithCst(const Cst& cst, const MatchingOrder& orde
   // --- FAST-DRAM strawman: no partitioning, CST stays in card DRAM. ---
   if (options.variant == FastVariant::kDram) {
     obs::ScopedSpan match_span(options.trace, obs::Span::kMatch);
-    Timer t;
     FAST_ASSIGN_OR_RETURN(KernelRunResult run,
                           RunKernel(cst, result.order, options.fpga, &collector,
                                     /*round_trace=*/nullptr, options.cancel));
-    (void)t;
     result.counters = run.counters;
     result.embeddings = run.embeddings;
     result.kernel_seconds = SimulatedKernelSeconds(

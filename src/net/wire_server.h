@@ -1,7 +1,7 @@
 #ifndef FAST_NET_WIRE_SERVER_H_
 #define FAST_NET_WIRE_SERVER_H_
 
-// TCP front end over any service::Frontend (MatchService or TenantRouter).
+// TCP front end over any service::Frontend (in practice a TenantRouter).
 //
 // One accept thread plus one reader thread per connection. A SUBMIT frame is
 // decoded into a QueryGraph and submitted in callback mode: the completion
@@ -80,8 +80,8 @@ struct WireServerStats {
 class WireServer {
  public:
   // `frontend` must outlive the server. Session keys on SUBMIT frames are
-  // passed through as-is (TenantRouter resolves them as tenant ids;
-  // MatchService ignores them).
+  // passed through as-is (TenantRouter resolves them as tenant ids, so a
+  // one-tenant router answers a non-empty key with NOT_FOUND).
   WireServer(service::Frontend* frontend, WireServerOptions options);
   ~WireServer();
 

@@ -2,8 +2,8 @@
 #define FAST_OBS_METRICS_H_
 
 // Process-wide metrics registry: named counters, gauges, and latency
-// histograms shared by every serving layer (MatchService, TenantRouter,
-// PlanCache, GraphState, DeviceExecutor).
+// histograms shared by every serving layer (TenantRouter, PlanCache,
+// GraphState, DeviceExecutor).
 //
 //   obs::MetricsRegistry registry;
 //   obs::Counter* reqs = registry.GetCounter("fast_requests_total", "...");

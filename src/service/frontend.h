@@ -3,25 +3,23 @@
 
 // Transport-agnostic request-session surface.
 //
-// MatchService (one graph behind its own pool) and tenant::TenantRouter (many
-// graphs behind one shared pool) expose the same session lifecycle: admit a
-// query, queue it, execute it on a captured snapshot, deliver a
-// RequestResult. Frontend is that lifecycle as one interface, so everything
-// in front of a service — the CLI replay loops, the serving benches, and the
-// wire protocol in src/net/ — is written once against Frontend and runs
-// unchanged over either backend:
+// Frontend is the session lifecycle of the serving layer as one interface:
+// admit a query, queue it, execute it on a captured snapshot, deliver a
+// RequestResult. Everything in front of the worker pool — the CLI replay
+// loops, the serving benches, and the wire protocol in src/net/ — is written
+// once against Frontend:
 //
 //     callers / net::WireServer / benches
 //                  │  Submit(SessionKey, QueryGraph, RequestOptions)
 //                  ▼
-//            ┌──────────┐     MatchService   (session key ignored: one graph)
-//            │ Frontend │ ◀──
-//            └──────────┘     TenantRouter   (session key = tenant id)
+//            ┌──────────┐
+//            │ Frontend │ ◀── tenant::TenantRouter (session key = tenant id)
+//            └──────────┘
 //
-// Sessions: a SessionKey names the graph a request is routed to. It is the
-// tenant id for TenantRouter (NOT_FOUND when unknown) and advisory for
-// MatchService, which serves every session from its one graph. The wire
-// protocol carries the session key in every frame header as the routing key.
+// Sessions: a SessionKey names the graph a request is routed to — the
+// tenant id (NOT_FOUND when unknown). A single-graph server is a router with
+// one tenant registered under the default (empty) key. The wire protocol
+// carries the session key in every frame header as the routing key.
 //
 // Delivery: exactly one of
 //   - blocking: Wait(id) returns the result once; a second Wait (or an
@@ -41,107 +39,26 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
-#include "core/driver.h"
-#include "device/device_executor.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
 #include "obs/request_obs.h"
-#include "obs/slo.h"
 #include "query/query_graph.h"
 #include "service/graph_state.h"
 #include "util/status.h"
 
 namespace fast::service {
 
-// Names the graph a request is routed to: the tenant id under TenantRouter,
-// advisory (any value accepted) under MatchService. Empty = the default
-// session.
+// Names the graph a request is routed to: the tenant id. Empty = the
+// default session (the one tenant of a single-graph server).
 using SessionKey = std::string;
-
-// ---- Shared serving options. ----
-//
-// ServiceOptions, RouterOptions, and TenantOptions used to each re-declare
-// their overlapping fields; the shared fields now live in exactly one place
-// and the per-backend structs *inherit* them, so every existing
-// `options.num_workers = ...` call site still compiles. All three structs are
-// deliberately NOT aggregates (the defaulted constructors below are
-// user-declared, which in C++20 disqualifies aggregate initialization):
-// positional brace-initialization silently mis-assigning fields across a
-// refactor is a bug class this family has been bitten by before, so it is a
-// compile error here — set fields by name.
-
-struct CommonServingOptions {
-  CommonServingOptions() = default;
-
-  // Worker threads executing the pipeline; 0 = hardware concurrency.
-  std::size_t num_workers = 0;
-
-  // Bound of the (global) request queue; admission beyond it rejects the
-  // Submit with RESOURCE_EXHAUSTED.
-  std::size_t queue_capacity = 256;
-
-  // Default per-request deadline in seconds; 0 = no deadline.
-  double default_deadline_seconds = 0.0;
-
-  // Base pipeline configuration (variant, device model, cpu-share δ, order
-  // policy). Per-request fields override its store_limit/embedding_callback.
-  FastRunOptions run;
-
-  // Shared-device mode (device/device_executor.h): workers decompose each
-  // request into CST-partition work items on ONE device executor, which
-  // batches items from concurrent requests (and tenants) into shared device
-  // rounds. The executor simulates run.fpga under run.variant;
-  // run.cpu_share_delta is ignored in this mode.
-  bool device_mode = false;
-  device::DeviceOptions device;
-
-  // ---- Observability (src/obs/). ----
-  // Process-wide metrics registry every component reports into. Non-owning;
-  // must outlive the service. nullptr = registry metrics off.
-  obs::MetricsRegistry* metrics = nullptr;
-  // Per-request span tracing (obs/trace.h).
-  bool tracing = true;
-  // Requests slower than this are FAST_LOG(WARNING)-ed with their span
-  // breakdown and retained in the slow-trace ring. 0 disables.
-  double slow_request_seconds = 0.0;
-  // Capacity of the recent-trace ring (the slow ring uses the same).
-  std::size_t trace_ring_capacity = 256;
-  // Per-tenant SLO objectives (obs/slo.h): a request is good when it
-  // finishes OK within slo.latency_objective_seconds; multi-window burn
-  // rates per tenant, breach/recovery counters in the registry.
-  // latency_objective_seconds == 0 leaves the engine off.
-  obs::SloOptions slo;
-  // Flight recorder for SLO breaches (obs/slo.h): one bounded, rate-limited
-  // JSON dump (registry snapshot + trace rings + account table) per breach.
-  // An empty dir leaves it off.
-  obs::FlightRecorderOptions flight;
-};
-static_assert(!std::is_aggregate_v<CommonServingOptions>,
-              "CommonServingOptions must not be positionally brace-initializable");
-
-// Per-graph plan/CST cache budget, shared by ServiceOptions (the single
-// graph) and tenant::TenantOptions (each tenant's graph).
-struct PlanCacheOptions {
-  PlanCacheOptions() = default;
-
-  // Plan/CST cache entries; 0 disables caching.
-  std::size_t plan_cache_capacity = 64;
-
-  // Byte bound on the summed serialized-CST cache images; 0 = entries-only.
-  std::size_t plan_cache_byte_budget = 0;
-};
-static_assert(!std::is_aggregate_v<PlanCacheOptions>,
-              "PlanCacheOptions must not be positionally brace-initializable");
 
 // ---- Request delivery ledger. ----
 //
-// The id → in-flight bookkeeping both frontends used to duplicate: id
-// allocation, the waitable map, blocking Wait with once-only semantics, and
-// completion-callback delivery. Thread-safe.
+// The id → in-flight bookkeeping of a frontend: id allocation, the waitable
+// map, blocking Wait with once-only semantics, and completion-callback
+// delivery. Thread-safe.
 class RequestLedger {
  public:
   // One request's delivery slot. The delivery mode is fixed at admission:
@@ -187,7 +104,7 @@ class Frontend {
 
   // Canonicalizes q and enqueues it for the session's graph. Fails fast with
   // RESOURCE_EXHAUSTED when admission control rejects (queue full or tenant
-  // quota), NOT_FOUND for an unknown session (multi-tenant backends),
+  // quota), NOT_FOUND for an unknown session,
   // INVALID_ARGUMENT for malformed queries, FAILED_PRECONDITION after
   // Shutdown. opts carries the per-request deadline, the streamed-embedding
   // sink, and the optional completion callback.
@@ -201,8 +118,6 @@ class Frontend {
   virtual StatusOr<RequestResult> Wait(RequestId id) = 0;
 
   // Submit + Wait; the returned Status covers admission and execution.
-  // Implemented here once — this is the collapse of the two per-backend
-  // SubmitAndWait copies.
   StatusOr<RequestResult> SubmitAndWait(const SessionKey& session,
                                         const QueryGraph& q,
                                         RequestOptions opts = {});
@@ -217,7 +132,7 @@ class Frontend {
   // ---- Admin-plane surfaces (src/net/admin_http.h). ----
 
   // The finish-side observability bundle: trace rings, per-tenant resource
-  // accounts, SLO burn-rate state. Both backends own one; the default is
+  // accounts, SLO burn-rate state. The router owns one; the default is
   // for Frontend fakes in tests.
   virtual const obs::RequestObs* request_obs() const { return nullptr; }
 

@@ -1,9 +1,8 @@
 #ifndef FAST_SERVICE_GRAPH_STATE_H_
 #define FAST_SERVICE_GRAPH_STATE_H_
 
-// Per-graph serving state, factored out of MatchService so that one worker
-// pool can serve many graphs (tenant::TenantRouter) while the single-graph
-// service keeps its original API.
+// Per-graph serving state: one tenant of tenant::TenantRouter, so that one
+// worker pool can serve many graphs.
 //
 // A GraphState bundles everything that is *about one data graph* and nothing
 // about pools or queues:

@@ -13,7 +13,7 @@
 // Plans are data-dependent: the CST enumerates candidate vertices of the
 // data graph, so a plan built against one graph snapshot is garbage against
 // any other. Every entry is therefore tagged with the graph epoch it was
-// built on (see MatchService snapshot semantics); Lookup treats an epoch
+// built on (see GraphState snapshot semantics); Lookup treats an epoch
 // mismatch as a miss, dropping the entry on the spot when it is older than
 // the request's snapshot (published epochs are monotone, so it can never
 // become valid again) and leaving it in place when it is newer (a request

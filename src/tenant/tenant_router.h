@@ -15,13 +15,13 @@
 //                                    capture THAT tenant's snapshot,
 //                                    execute, per-tenant p50/p99 stats
 //
-// One MatchService per graph costs N worker pools and N uncoordinated
-// queues. TenantRouter hosts N graphs in one process: a registry of tenants
-// (each a GraphState — the same epoch-snapshotted graph + epoch-tagged plan
-// cache that MatchService uses, see service/graph_state.h) in front of a
-// single shared worker pool. Requests carry a tenant id; dispatch captures
-// that tenant's current snapshot, so per-tenant SwapGraph/ApplyDelta keep
-// working independently and a swap on tenant A is invisible to tenant B.
+// TenantRouter hosts N graphs in one process: a registry of tenants (each a
+// GraphState — an epoch-snapshotted graph + epoch-tagged plan cache, see
+// service/graph_state.h) in front of a single shared worker pool. Requests
+// carry a tenant id; dispatch captures that tenant's current snapshot, so
+// per-tenant SwapGraph/ApplyDelta keep working independently and a swap on
+// tenant A is invisible to tenant B. A single-graph server is the N = 1
+// case: one tenant registered under the default service::SessionKey().
 //
 // Admission and fairness:
 //   - a process-wide bound on the total queued requests (global admission
@@ -40,9 +40,11 @@
 // tenant's state stays alive via shared_ptr until the last request drops
 // it); RemoveTenant returns once the tenant has no queued or in-flight work.
 //
-// Deadlines behave exactly as in MatchService: checked at dispatch, and
-// enforced mid-run via a cooperative cancellation token armed with the
-// remaining deadline.
+// Admission never blocks: a full queue or quota rejects the Submit with
+// RESOURCE_EXHAUSTED. Deadlines are checked at dispatch (a request whose
+// deadline passed while queued completes with DEADLINE_EXCEEDED without
+// running) and enforced mid-run via a cooperative cancellation token armed
+// with the remaining deadline (util/cancel.h).
 
 #include <condition_variable>
 #include <cstdint>
@@ -52,6 +54,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -59,7 +62,9 @@
 #include "device/device_executor.h"
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
+#include "obs/metrics.h"
 #include "obs/request_obs.h"
+#include "obs/slo.h"
 #include "query/query_graph.h"
 #include "service/frontend.h"
 #include "service/graph_state.h"
@@ -74,11 +79,18 @@ using service::GraphSnapshot;
 using service::RequestOptions;
 using service::RequestResult;
 
-// Per-tenant knobs: the tenant graph's plan-cache budget (PlanCacheOptions,
-// see service/frontend.h) plus admission quota and WRR weight. Non-aggregate
-// on purpose — set fields by name.
-struct TenantOptions : service::PlanCacheOptions {
+// Per-tenant knobs: the tenant graph's plan-cache budget, admission quota
+// and WRR weight. Non-aggregate on purpose — positional brace-initialization
+// silently mis-assigning fields across a refactor is a compile error here;
+// set fields by name.
+struct TenantOptions {
   TenantOptions() = default;
+
+  // Plan/CST cache entries; 0 disables caching.
+  std::size_t plan_cache_capacity = 64;
+
+  // Byte bound on the summed serialized-CST cache images; 0 = entries-only.
+  std::size_t plan_cache_byte_budget = 0;
 
   // Per-tenant admission quota: max requests queued (not yet dispatched)
   // for this tenant. 0 = bounded only by the global queue capacity.
@@ -92,14 +104,54 @@ struct TenantOptions : service::PlanCacheOptions {
 static_assert(!std::is_aggregate_v<TenantOptions>,
               "TenantOptions must not be positionally brace-initializable");
 
-// The shared pool/queue/obs knobs (service::CommonServingOptions — see
-// service/frontend.h for every field) are the whole configuration: the
-// router adds nothing pool-level of its own; per-graph knobs live in
-// TenantOptions. In device mode each tenant's WRR weight doubles as its
-// device-round weight, and queue_capacity bounds the total queued requests
-// across all tenants.
-struct RouterOptions : service::CommonServingOptions {
+// The shared pool, queue, pipeline and observability knobs; per-graph knobs
+// live in TenantOptions. Non-aggregate on purpose, like TenantOptions.
+struct RouterOptions {
   RouterOptions() = default;
+
+  // Worker threads executing the pipeline; 0 = hardware concurrency.
+  std::size_t num_workers = 0;
+
+  // Bound on the total queued requests across all tenants; admission beyond
+  // it rejects the Submit with RESOURCE_EXHAUSTED.
+  std::size_t queue_capacity = 256;
+
+  // Default per-request deadline in seconds; 0 = no deadline.
+  double default_deadline_seconds = 0.0;
+
+  // Base pipeline configuration (variant, device model, cpu-share δ, order
+  // policy). Per-request fields override its store_limit/embedding_callback.
+  FastRunOptions run;
+
+  // Shared-device mode (device/device_executor.h): workers decompose each
+  // request into CST-partition work items on ONE device executor, which
+  // batches items from concurrent requests (and tenants) into shared device
+  // rounds. The executor simulates run.fpga under run.variant;
+  // run.cpu_share_delta is ignored in this mode. Each tenant's WRR weight
+  // doubles as its device-round weight.
+  bool device_mode = false;
+  device::DeviceOptions device;
+
+  // ---- Observability (src/obs/). ----
+  // Process-wide metrics registry every component reports into. Non-owning;
+  // must outlive the router. nullptr = registry metrics off.
+  obs::MetricsRegistry* metrics = nullptr;
+  // Per-request span tracing (obs/trace.h).
+  bool tracing = true;
+  // Requests slower than this are FAST_LOG(WARNING)-ed with their span
+  // breakdown and retained in the slow-trace ring. 0 disables.
+  double slow_request_seconds = 0.0;
+  // Capacity of the recent-trace ring (the slow ring uses the same).
+  std::size_t trace_ring_capacity = 256;
+  // Per-tenant SLO objectives (obs/slo.h): a request is good when it
+  // finishes OK within slo.latency_objective_seconds; multi-window burn
+  // rates per tenant, breach/recovery counters in the registry.
+  // latency_objective_seconds == 0 leaves the engine off.
+  obs::SloOptions slo;
+  // Flight recorder for SLO breaches (obs/slo.h): one bounded, rate-limited
+  // JSON dump (registry snapshot + trace rings + account table) per breach.
+  // An empty dir leaves it off.
+  obs::FlightRecorderOptions flight;
 };
 static_assert(!std::is_aggregate_v<RouterOptions>,
               "RouterOptions must not be positionally brace-initializable");

@@ -2,7 +2,7 @@
 // request parser driven byte-by-byte (truncation, pipelining, malformed and
 // oversized heads), the server's status handling (404/405, keep-alive,
 // concurrent scrapes), and the standard endpoint set registered against a
-// live MatchService.
+// live single-graph (one-tenant) TenantRouter.
 
 #include <cstring>
 #include <string>
@@ -14,7 +14,7 @@
 #include "net/admin_http.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
-#include "service/match_service.h"
+#include "tenant/tenant_router.h"
 #include "tests/test_util.h"
 #include "util/status.h"
 
@@ -27,8 +27,6 @@ using net::HttpGet;
 using net::HttpRequest;
 using net::HttpRequestParser;
 using net::HttpResponse;
-using service::MatchService;
-using service::ServiceOptions;
 using testing::PaperDataGraph;
 using testing::PaperQuery;
 
@@ -236,16 +234,18 @@ TEST(AdminHttpServerTest, ConcurrentScrapesAllSucceed) {
 
 // ---- Standard endpoints against a live service. ----
 
-TEST(AdminEndpointsTest, EndToEndAgainstMatchService) {
+TEST(AdminEndpointsTest, EndToEndAgainstOneTenantRouter) {
   obs::MetricsRegistry registry;
-  ServiceOptions options;
+  tenant::RouterOptions options;
   options.num_workers = 2;
   options.queue_capacity = 64;
-  options.plan_cache_capacity = 8;
   options.metrics = &registry;
-  MatchService svc(PaperDataGraph(), options);
+  tenant::TenantOptions topts;
+  topts.plan_cache_capacity = 8;
+  tenant::TenantRouter svc(options);
+  FAST_CHECK_OK(svc.AddTenant(service::SessionKey(), PaperDataGraph(), topts));
   for (int i = 0; i < 3; ++i) {
-    FAST_CHECK_OK(svc.SubmitAndWait(PaperQuery()).status());
+    FAST_CHECK_OK(svc.SubmitAndWait(service::SessionKey(), PaperQuery()).status());
   }
 
   AdminHttpServer server;

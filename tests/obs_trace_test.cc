@@ -1,7 +1,8 @@
 // Tests for per-request tracing (src/obs/trace.h, src/obs/request_obs.h):
 // span sequencing on the raw recorder, simulated-span accounting, the trace
-// rings, and end-to-end span ordering/coverage through MatchService in CPU
-// and device modes plus the tenant tag through TenantRouter.
+// rings, and end-to-end span ordering/coverage through a single-graph
+// (one-tenant) TenantRouter in CPU and device modes plus the tenant tag
+// through a named tenant.
 
 #include <algorithm>
 #include <chrono>
@@ -15,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/request_obs.h"
 #include "obs/trace.h"
-#include "service/match_service.h"
 #include "tenant/tenant_router.h"
 #include "tests/test_util.h"
 
@@ -163,22 +163,29 @@ TEST(RequestObsTest, SlowRequestsAreLoggedCountedAndRetained) {
   EXPECT_EQ(reg.GetCounter("fast_slow_requests_total")->Value(), 1u);
 }
 
-service::ServiceOptions TracedServiceOptions() {
-  service::ServiceOptions options;
+tenant::RouterOptions TracedRouterOptions() {
+  tenant::RouterOptions options;
   options.num_workers = 2;
-  options.plan_cache_capacity = 8;
   return options;
+}
+
+// Registers the single graph under the default session key.
+void AddPaperGraph(tenant::TenantRouter& svc) {
+  tenant::TenantOptions topts;
+  topts.plan_cache_capacity = 8;
+  FAST_CHECK_OK(svc.AddTenant(service::SessionKey(), PaperDataGraph(), topts));
 }
 
 TEST(ServiceTraceTest, CpuModeSpansAreOrderedAndCoverLatency) {
   MetricsRegistry reg;
-  service::ServiceOptions options = TracedServiceOptions();
+  tenant::RouterOptions options = TracedRouterOptions();
   options.metrics = &reg;
   options.tracing = true;
-  service::MatchService svc(PaperDataGraph(), options);
+  tenant::TenantRouter svc(options);
+  AddPaperGraph(svc);
   const QueryGraph q = PaperQuery();
 
-  auto result = svc.SubmitAndWait(q);
+  auto result = svc.SubmitAndWait(service::SessionKey(), q);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_NE(result->trace, nullptr);
   const CompletedTrace& trace = *result->trace;
@@ -203,13 +210,14 @@ TEST(ServiceTraceTest, CpuModeSpansAreOrderedAndCoverLatency) {
 
 TEST(ServiceTraceTest, DeviceModeAddsDeviceSpansAndSimulatedModelTime) {
   MetricsRegistry reg;
-  service::ServiceOptions options = TracedServiceOptions();
+  tenant::RouterOptions options = TracedRouterOptions();
   options.metrics = &reg;
   options.tracing = true;
   options.device_mode = true;
-  service::MatchService svc(PaperDataGraph(), options);
+  tenant::TenantRouter svc(options);
+  AddPaperGraph(svc);
 
-  auto result = svc.SubmitAndWait(PaperQuery());
+  auto result = svc.SubmitAndWait(service::SessionKey(), PaperQuery());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_NE(result->trace, nullptr);
   const CompletedTrace& trace = *result->trace;
@@ -226,12 +234,13 @@ TEST(ServiceTraceTest, DeviceModeAddsDeviceSpansAndSimulatedModelTime) {
 
 TEST(ServiceTraceTest, TracingOffCarriesNoTraceButKeepsMetrics) {
   MetricsRegistry reg;
-  service::ServiceOptions options = TracedServiceOptions();
+  tenant::RouterOptions options = TracedRouterOptions();
   options.metrics = &reg;
   options.tracing = false;
-  service::MatchService svc(PaperDataGraph(), options);
+  tenant::TenantRouter svc(options);
+  AddPaperGraph(svc);
 
-  auto result = svc.SubmitAndWait(PaperQuery());
+  auto result = svc.SubmitAndWait(service::SessionKey(), PaperQuery());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->trace, nullptr);
   EXPECT_TRUE(svc.recent_traces().empty());
@@ -239,11 +248,12 @@ TEST(ServiceTraceTest, TracingOffCarriesNoTraceButKeepsMetrics) {
 }
 
 TEST(ServiceTraceTest, SlowQueryThresholdRetainsServiceTraces) {
-  service::ServiceOptions options = TracedServiceOptions();
+  tenant::RouterOptions options = TracedRouterOptions();
   options.tracing = true;
   options.slow_request_seconds = 1e-9;  // everything is "slow"
-  service::MatchService svc(PaperDataGraph(), options);
-  ASSERT_TRUE(svc.SubmitAndWait(PaperQuery()).ok());
+  tenant::TenantRouter svc(options);
+  AddPaperGraph(svc);
+  ASSERT_TRUE(svc.SubmitAndWait(service::SessionKey(), PaperQuery()).ok());
   EXPECT_EQ(svc.slow_traces().size(), 1u);
 }
 

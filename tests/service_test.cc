@@ -1,6 +1,8 @@
 // Tests for the concurrent query-serving subsystem (src/service/): canonical
-// signatures, the plan/CST LRU cache, and MatchService correctness under
-// concurrency, cache eviction, deadlines, and admission control.
+// signatures, the plan/CST LRU cache, and the single-graph server — a
+// TenantRouter with one tenant under the default session key — for
+// correctness under concurrency, cache eviction, deadlines, and admission
+// control.
 
 #include <atomic>
 #include <chrono>
@@ -10,21 +12,21 @@
 
 #include <gtest/gtest.h>
 
-#include "service/match_service.h"
 #include "service/plan_cache.h"
 #include "service/query_signature.h"
+#include "tenant/tenant_router.h"
 #include "tests/test_util.h"
-#include "util/bounded_queue.h"
 #include "util/latency_histogram.h"
 
 namespace fast {
 namespace {
 
 using service::CanonicalizeQuery;
-using service::MatchService;
 using service::PlanCache;
 using service::RequestOptions;
-using service::ServiceOptions;
+using tenant::RouterOptions;
+using tenant::TenantOptions;
+using tenant::TenantRouter;
 using testing::BruteForceCount;
 using testing::BruteForceEmbeddings;
 using testing::PaperDataGraph;
@@ -294,30 +296,40 @@ TEST(PlanCacheTest, InvalidateBeforeDropsOldEpochsOnly) {
 
 // ---- Service correctness. ----
 
-ServiceOptions SmallServiceOptions(std::size_t workers) {
-  ServiceOptions options;
+// The single graph's tenant: the default session key.
+const service::SessionKey kGraph;
+
+RouterOptions SmallRouterOptions(std::size_t workers) {
+  RouterOptions options;
   options.num_workers = workers;
   options.queue_capacity = 1024;
+  return options;
+}
+
+TenantOptions SmallTenantOptions() {
+  TenantOptions options;
   options.plan_cache_capacity = 16;
   return options;
 }
 
-TEST(MatchServiceTest, SingleRequestMatchesBruteForce) {
+TEST(OneTenantRouterTest, SingleRequestMatchesBruteForce) {
   const Graph g = PaperDataGraph();
   const QueryGraph q = PaperQuery();
-  MatchService svc(g, SmallServiceOptions(2));
-  auto r = svc.SubmitAndWait(q);
+  TenantRouter svc(SmallRouterOptions(2));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
+  auto r = svc.SubmitAndWait(kGraph, q);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->run.embeddings, BruteForceCount(q, g));
 }
 
-TEST(MatchServiceTest, ConcurrentMixedWorkloadMatchesBruteForce) {
+TEST(OneTenantRouterTest, ConcurrentMixedWorkloadMatchesBruteForce) {
   const Graph g = PaperDataGraph();
   const std::vector<QueryGraph> mix = {PaperQuery(), TriangleQuery(), PathQuery()};
   std::vector<std::uint64_t> expected;
   for (const auto& q : mix) expected.push_back(BruteForceCount(q, g));
 
-  MatchService svc(g, SmallServiceOptions(8));
+  TenantRouter svc(SmallRouterOptions(8));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
   constexpr int kThreads = 8;
   constexpr int kRequestsPerThread = 50;
   std::atomic<int> mismatches{0};
@@ -326,7 +338,7 @@ TEST(MatchServiceTest, ConcurrentMixedWorkloadMatchesBruteForce) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kRequestsPerThread; ++i) {
         const std::size_t qi = static_cast<std::size_t>(t + i) % mix.size();
-        auto r = svc.SubmitAndWait(mix[qi]);
+        auto r = svc.SubmitAndWait(kGraph, mix[qi]);
         if (!r.ok() || r->run.embeddings != expected[qi]) {
           mismatches.fetch_add(1);
         }
@@ -341,25 +353,26 @@ TEST(MatchServiceTest, ConcurrentMixedWorkloadMatchesBruteForce) {
             static_cast<std::uint64_t>(kThreads) * kRequestsPerThread);
   // Three query shapes: all but the first three requests hit the plan cache
   // (up to harmless races rebuilding a plan concurrently).
-  EXPECT_GT(stats.cache.hits, 0u);
+  EXPECT_GT(stats.tenants[0].cache.hits, 0u);
   EXPECT_GE(stats.latency.count(), stats.completed);
 }
 
-TEST(MatchServiceTest, IsomorphicQueryHitsCacheAndRemapsEmbeddings) {
+TEST(OneTenantRouterTest, IsomorphicQueryHitsCacheAndRemapsEmbeddings) {
   const Graph g = PaperDataGraph();
   const QueryGraph q = PaperQuery();
   const std::vector<VertexId> perm = {2, 0, 3, 1};
   const QueryGraph permuted = PermuteQuery(q, perm, "paper-permuted");
 
-  MatchService svc(g, SmallServiceOptions(1));
+  TenantRouter svc(SmallRouterOptions(1));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
   RequestOptions opts;
   opts.store_limit = 64;
 
-  auto first = svc.SubmitAndWait(q, opts);
+  auto first = svc.SubmitAndWait(kGraph, q, opts);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->cache_hit);
 
-  auto second = svc.SubmitAndWait(permuted, opts);
+  auto second = svc.SubmitAndWait(kGraph, permuted, opts);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->cache_hit);
 
@@ -374,31 +387,33 @@ TEST(MatchServiceTest, IsomorphicQueryHitsCacheAndRemapsEmbeddings) {
   EXPECT_EQ(second->run.order.order.front(), second->run.order.root);
 }
 
-TEST(MatchServiceTest, StreamingCallbackSeesAllEmbeddings) {
+TEST(OneTenantRouterTest, StreamingCallbackSeesAllEmbeddings) {
   const Graph g = PaperDataGraph();
   const std::vector<VertexId> perm = {1, 3, 0, 2};
   const QueryGraph permuted = PermuteQuery(PaperQuery(), perm, "cb-permuted");
 
-  MatchService svc(g, SmallServiceOptions(1));
+  TenantRouter svc(SmallRouterOptions(1));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
   // Warm the cache with the base shape so the callback path runs remapped.
-  ASSERT_TRUE(svc.SubmitAndWait(PaperQuery()).ok());
+  ASSERT_TRUE(svc.SubmitAndWait(kGraph, PaperQuery()).ok());
 
   std::vector<Embedding> streamed;
   RequestOptions opts;
   opts.on_embedding = [&](std::span<const VertexId> e) {
     streamed.emplace_back(e.begin(), e.end());
   };
-  auto r = svc.SubmitAndWait(permuted, opts);
+  auto r = svc.SubmitAndWait(kGraph, permuted, opts);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->cache_hit);
   EXPECT_EQ(ToSet(streamed), ToSet(BruteForceEmbeddings(permuted, g)));
 }
 
-TEST(MatchServiceTest, CacheEvictionKeepsResultsCorrect) {
+TEST(OneTenantRouterTest, CacheEvictionKeepsResultsCorrect) {
   const Graph g = PaperDataGraph();
-  ServiceOptions options = SmallServiceOptions(1);
-  options.plan_cache_capacity = 2;
-  MatchService svc(g, options);
+  TenantOptions topts = SmallTenantOptions();
+  topts.plan_cache_capacity = 2;
+  TenantRouter svc(SmallRouterOptions(1));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, topts).ok());
 
   const std::vector<QueryGraph> shapes = {PaperQuery(), TriangleQuery(), PathQuery()};
   std::vector<std::uint64_t> expected;
@@ -408,20 +423,20 @@ TEST(MatchServiceTest, CacheEvictionKeepsResultsCorrect) {
   // every result must stay correct.
   for (int round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < shapes.size(); ++i) {
-      auto r = svc.SubmitAndWait(shapes[i]);
+      auto r = svc.SubmitAndWait(kGraph, shapes[i]);
       ASSERT_TRUE(r.ok());
       EXPECT_EQ(r->run.embeddings, expected[i]);
     }
   }
   const auto stats = svc.stats();
-  EXPECT_GT(stats.cache.evictions, 0u);
-  EXPECT_LE(stats.cache.entries, 2u);
+  EXPECT_GT(stats.tenants[0].cache.evictions, 0u);
+  EXPECT_LE(stats.tenants[0].cache.entries, 2u);
 }
 
-TEST(MatchServiceTest, DeadlinePassedInQueueRejects) {
+TEST(OneTenantRouterTest, DeadlinePassedInQueueRejects) {
   const Graph g = PaperDataGraph();
-  ServiceOptions options = SmallServiceOptions(1);
-  MatchService svc(g, options);
+  TenantRouter svc(SmallRouterOptions(1));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
 
   // Block the single worker inside a request via its embedding callback.
   std::atomic<bool> started{false};
@@ -430,14 +445,14 @@ TEST(MatchServiceTest, DeadlinePassedInQueueRejects) {
     started.store(true);
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   };
-  auto blocker = svc.Submit(PaperQuery(), blocker_opts);
+  auto blocker = svc.Submit(kGraph, PaperQuery(), blocker_opts);
   ASSERT_TRUE(blocker.ok());
   while (!started.load()) std::this_thread::yield();
 
   // This request waits >= ~200ms in the queue but allows only 1ms.
   RequestOptions tight;
   tight.deadline_seconds = 0.001;
-  auto late = svc.Submit(TriangleQuery(), tight);
+  auto late = svc.Submit(kGraph, TriangleQuery(), tight);
   ASSERT_TRUE(late.ok());
 
   auto late_result = svc.Wait(*late);
@@ -446,7 +461,7 @@ TEST(MatchServiceTest, DeadlinePassedInQueueRejects) {
   EXPECT_EQ(svc.stats().rejected_deadline, 1u);
 }
 
-TEST(MatchServiceTest, DeadlineExpiringMidRunAbortsMatching) {
+TEST(OneTenantRouterTest, DeadlineExpiringMidRunAbortsMatching) {
   // 30 disjoint A-B-C triangles; with N_o = 4 the kernel needs many
   // Generator rounds, so there is always a round boundary — and therefore a
   // cancellation probe — after the sleeping embedding callback below.
@@ -460,9 +475,12 @@ TEST(MatchServiceTest, DeadlineExpiringMidRunAbortsMatching) {
     FAST_CHECK_OK(b.AddEdge(base, base + 2));
     FAST_CHECK_OK(b.AddEdge(base + 1, base + 2));
   }
-  ServiceOptions options = SmallServiceOptions(1);
+  RouterOptions options = SmallRouterOptions(1);
   options.run.fpga.max_new_partials = 4;
-  MatchService svc(std::move(b).Build().value(), options);
+  TenantRouter svc(options);
+  ASSERT_TRUE(
+      svc.AddTenant(kGraph, std::move(b).Build().value(), SmallTenantOptions())
+          .ok());
 
   std::atomic<int> seen{0};
   RequestOptions opts;
@@ -474,7 +492,7 @@ TEST(MatchServiceTest, DeadlineExpiringMidRunAbortsMatching) {
       std::this_thread::sleep_for(std::chrono::milliseconds(200));
     }
   };
-  auto r = svc.Submit(TriangleQuery(), opts);
+  auto r = svc.Submit(kGraph, TriangleQuery(), opts);
   ASSERT_TRUE(r.ok());
   auto result = svc.Wait(*r);
   EXPECT_EQ(result->status.code(), StatusCode::kDeadlineExceeded);
@@ -488,23 +506,24 @@ TEST(MatchServiceTest, DeadlineExpiringMidRunAbortsMatching) {
   EXPECT_EQ(stats.completed, 0u);
 
   // The same query without a deadline completes and finds all 30.
-  auto ok = svc.SubmitAndWait(TriangleQuery());
+  auto ok = svc.SubmitAndWait(kGraph, TriangleQuery());
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->run.embeddings, 30u);
 }
 
-TEST(MatchServiceTest, OrderOnlyCacheHitRebuildsCstCorrectly) {
+TEST(OneTenantRouterTest, OrderOnlyCacheHitRebuildsCstCorrectly) {
   const Graph g = PaperDataGraph();
   const QueryGraph q = PaperQuery();
-  ServiceOptions options = SmallServiceOptions(2);
-  options.plan_cache_byte_budget = 8;  // every image oversized → order-only
-  MatchService svc(g, options);
+  TenantOptions topts = SmallTenantOptions();
+  topts.plan_cache_byte_budget = 8;  // every image oversized → order-only
+  TenantRouter svc(SmallRouterOptions(2));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, topts).ok());
 
-  auto miss = svc.SubmitAndWait(q);
+  auto miss = svc.SubmitAndWait(kGraph, q);
   ASSERT_TRUE(miss.ok());
   EXPECT_FALSE(miss->cache_hit);
 
-  auto hit = svc.SubmitAndWait(q);
+  auto hit = svc.SubmitAndWait(kGraph, q);
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit->cache_hit);
   EXPECT_EQ(hit->run.embeddings, BruteForceCount(q, g));
@@ -513,21 +532,21 @@ TEST(MatchServiceTest, OrderOnlyCacheHitRebuildsCstCorrectly) {
   EXPECT_GT(hit->run.build_seconds, 0.0);
 
   const auto stats = svc.stats();
-  EXPECT_EQ(stats.cache.rejected_oversized, 1u);
-  EXPECT_EQ(stats.cache.order_only_hits, 1u);
-  EXPECT_EQ(stats.cache.entries, 1u);
-  EXPECT_EQ(stats.cache.bytes_in_use, 0u);  // order-only carries no image
+  EXPECT_EQ(stats.tenants[0].cache.rejected_oversized, 1u);
+  EXPECT_EQ(stats.tenants[0].cache.order_only_hits, 1u);
+  EXPECT_EQ(stats.tenants[0].cache.entries, 1u);
+  EXPECT_EQ(stats.tenants[0].cache.bytes_in_use, 0u);  // order-only carries no image
 }
 
-ServiceOptions DeviceServiceOptions(std::size_t workers) {
-  ServiceOptions options = SmallServiceOptions(workers);
+RouterOptions DeviceRouterOptions(std::size_t workers) {
+  RouterOptions options = SmallRouterOptions(workers);
   options.device_mode = true;
   options.device.batch_window_seconds = 1e-4;
   options.device.max_batch_items = 8;
   return options;
 }
 
-TEST(MatchServiceTest, DeviceModeMixedWorkloadMatchesBruteForce) {
+TEST(OneTenantRouterTest, DeviceModeMixedWorkloadMatchesBruteForce) {
   // The shared-device path must be bit-equivalent to the per-worker path:
   // same counts, same remapped embeddings, under concurrent submission.
   const Graph g = PaperDataGraph();
@@ -537,11 +556,12 @@ TEST(MatchServiceTest, DeviceModeMixedWorkloadMatchesBruteForce) {
   expected.reserve(mix.size());
   for (const auto& q : mix) expected.push_back(BruteForceCount(q, g));
 
-  MatchService svc(g, DeviceServiceOptions(4));
+  TenantRouter svc(DeviceRouterOptions(4));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
   constexpr int kRequests = 24;
-  std::vector<MatchService::RequestId> ids;
+  std::vector<TenantRouter::RequestId> ids;
   for (int i = 0; i < kRequests; ++i) {
-    auto id = svc.Submit(mix[static_cast<std::size_t>(i) % mix.size()]);
+    auto id = svc.Submit(kGraph, mix[static_cast<std::size_t>(i) % mix.size()]);
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
@@ -561,7 +581,7 @@ TEST(MatchServiceTest, DeviceModeMixedWorkloadMatchesBruteForce) {
   EXPECT_GE(stats.device.QueriesPerRound(), 1.0);
 }
 
-TEST(MatchServiceTest, DeviceModeDeadlineExpiringMidRunAborts) {
+TEST(OneTenantRouterTest, DeviceModeDeadlineExpiringMidRunAborts) {
   // The device analog of DeadlineExpiringMidRunAbortsMatching: the token is
   // probed inside the shared device round (kernel loop and pipeline
   // simulation), so a deadline burnt inside the run still cancels, and the
@@ -576,9 +596,12 @@ TEST(MatchServiceTest, DeviceModeDeadlineExpiringMidRunAborts) {
     FAST_CHECK_OK(b.AddEdge(base, base + 2));
     FAST_CHECK_OK(b.AddEdge(base + 1, base + 2));
   }
-  ServiceOptions options = DeviceServiceOptions(1);
+  RouterOptions options = DeviceRouterOptions(1);
   options.run.fpga.max_new_partials = 4;
-  MatchService svc(std::move(b).Build().value(), options);
+  TenantRouter svc(options);
+  ASSERT_TRUE(
+      svc.AddTenant(kGraph, std::move(b).Build().value(), SmallTenantOptions())
+          .ok());
 
   std::atomic<int> seen{0};
   RequestOptions opts;
@@ -588,7 +611,7 @@ TEST(MatchServiceTest, DeviceModeDeadlineExpiringMidRunAborts) {
       std::this_thread::sleep_for(std::chrono::milliseconds(200));
     }
   };
-  auto r = svc.Submit(TriangleQuery(), opts);
+  auto r = svc.Submit(kGraph, TriangleQuery(), opts);
   ASSERT_TRUE(r.ok());
   auto result = svc.Wait(*r);
   EXPECT_EQ(result->status.code(), StatusCode::kDeadlineExceeded);
@@ -601,16 +624,17 @@ TEST(MatchServiceTest, DeviceModeDeadlineExpiringMidRunAborts) {
   EXPECT_GE(stats.device.cancelled_items, 1u);
 
   // The same query without a deadline completes on the device path.
-  auto ok = svc.SubmitAndWait(TriangleQuery());
+  auto ok = svc.SubmitAndWait(kGraph, TriangleQuery());
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->run.embeddings, 30u);
 }
 
-TEST(MatchServiceTest, FullQueueRejectsSubmit) {
+TEST(OneTenantRouterTest, FullQueueRejectsSubmit) {
   const Graph g = PaperDataGraph();
-  ServiceOptions options = SmallServiceOptions(1);
+  RouterOptions options = SmallRouterOptions(1);
   options.queue_capacity = 1;
-  MatchService svc(g, options);
+  TenantRouter svc(options);
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
 
   std::atomic<bool> started{false};
   std::atomic<bool> release{false};
@@ -619,14 +643,14 @@ TEST(MatchServiceTest, FullQueueRejectsSubmit) {
     started.store(true);
     while (!release.load()) std::this_thread::yield();
   };
-  auto blocker = svc.Submit(PaperQuery(), blocker_opts);
+  auto blocker = svc.Submit(kGraph, PaperQuery(), blocker_opts);
   ASSERT_TRUE(blocker.ok());
   while (!started.load()) std::this_thread::yield();
 
   // Worker busy; capacity-1 queue takes one request, then rejects.
-  auto queued = svc.Submit(TriangleQuery());
+  auto queued = svc.Submit(kGraph, TriangleQuery());
   ASSERT_TRUE(queued.ok());
-  auto rejected = svc.Submit(PathQuery());
+  auto rejected = svc.Submit(kGraph, PathQuery());
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
 
@@ -636,25 +660,27 @@ TEST(MatchServiceTest, FullQueueRejectsSubmit) {
   EXPECT_EQ(svc.stats().rejected_queue_full, 1u);
 }
 
-TEST(MatchServiceTest, ShutdownDrainsBacklogAndRejectsNewWork) {
+TEST(OneTenantRouterTest, ShutdownDrainsBacklogAndRejectsNewWork) {
   const Graph g = PaperDataGraph();
-  MatchService svc(g, SmallServiceOptions(2));
-  std::vector<MatchService::RequestId> ids;
+  TenantRouter svc(SmallRouterOptions(2));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
+  std::vector<TenantRouter::RequestId> ids;
   for (int i = 0; i < 20; ++i) {
-    auto id = svc.Submit(PaperQuery());
+    auto id = svc.Submit(kGraph, PaperQuery());
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
   svc.Shutdown();
   for (auto id : ids) EXPECT_TRUE(svc.Wait(id)->status.ok());
-  EXPECT_EQ(svc.Submit(PaperQuery()).status().code(),
+  EXPECT_EQ(svc.Submit(kGraph, PaperQuery()).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
-TEST(MatchServiceTest, WaitTwiceReturnsNotFound) {
+TEST(OneTenantRouterTest, WaitTwiceReturnsNotFound) {
   const Graph g = PaperDataGraph();
-  MatchService svc(g, SmallServiceOptions(1));
-  auto id = svc.Submit(PaperQuery());
+  TenantRouter svc(SmallRouterOptions(1));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
+  auto id = svc.Submit(kGraph, PaperQuery());
   ASSERT_TRUE(id.ok());
   EXPECT_TRUE(svc.Wait(*id)->status.ok());
   // Double Wait: the NOT_FOUND is on the OUTER StatusOr, so it can never
@@ -687,47 +713,6 @@ TEST(LatencyHistogramTest, MergeEqualsCombinedRecording) {
   EXPECT_DOUBLE_EQ(a.P50(), combined.P50());
   EXPECT_DOUBLE_EQ(a.P99(), combined.P99());
   EXPECT_DOUBLE_EQ(a.sum_seconds(), combined.sum_seconds());
-}
-
-TEST(BoundedQueueTest, TryPushRespectsCapacityAndClose) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));  // full
-  q.Close();
-  EXPECT_FALSE(q.TryPush(4));  // closed
-  // Drains the backlog, then reports closed.
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(BoundedQueueTest, ConcurrentProducersConsumers) {
-  BoundedQueue<int> q(8);
-  constexpr int kPerProducer = 500;
-  constexpr int kProducers = 4;
-  std::atomic<int> sum{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&] {
-      while (auto v = q.Pop()) {
-        sum.fetch_add(*v);
-        popped.fetch_add(1);
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 1; i <= kPerProducer; ++i) ASSERT_TRUE(q.Push(i));
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.Close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(popped.load(), kProducers * kPerProducer);
-  EXPECT_EQ(sum.load(), kProducers * (kPerProducer * (kPerProducer + 1) / 2));
 }
 
 }  // namespace

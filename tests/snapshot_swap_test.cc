@@ -1,7 +1,7 @@
 // Tests for online graph updates in the serving layer: epoch-based snapshot
-// swap (MatchService::SwapGraph / ApplyDelta), plan-cache invalidation
-// across epochs, and consistency of results under concurrent clients and a
-// writer. The concurrency tests here are the ones CI runs under TSan and
+// swap (TenantRouter::SwapGraph / ApplyDelta on a one-tenant router),
+// plan-cache invalidation across epochs, and consistency of results under
+// concurrent clients and a writer. The concurrency tests here are the ones CI runs under TSan and
 // ASan+UBSan.
 
 #include <atomic>
@@ -14,25 +14,38 @@
 #include <gtest/gtest.h>
 
 #include "graph/graph_delta.h"
-#include "service/match_service.h"
+#include "tenant/tenant_router.h"
 #include "tests/test_util.h"
 
 namespace fast {
 namespace {
 
-using service::MatchService;
 using service::RequestOptions;
-using service::ServiceOptions;
+using tenant::RouterOptions;
+using tenant::TenantOptions;
+using tenant::TenantRouter;
 using testing::BruteForceCount;
 using testing::PaperDataGraph;
 using testing::PaperQuery;
 
-ServiceOptions SwapTestOptions(std::size_t workers) {
-  ServiceOptions options;
+// The single graph's tenant: the default session key.
+const service::SessionKey kGraph;
+
+RouterOptions SwapTestOptions(std::size_t workers) {
+  RouterOptions options;
   options.num_workers = workers;
   options.queue_capacity = 1024;
+  return options;
+}
+
+TenantOptions SwapTenantOptions() {
+  TenantOptions options;
   options.plan_cache_capacity = 16;
   return options;
+}
+
+std::uint64_t Epoch(const TenantRouter& router) {
+  return router.snapshot(kGraph)->epoch;
 }
 
 // The A-B-C triangle query (labels of the paper graph).
@@ -66,10 +79,11 @@ GraphDelta AddPatternBlockDelta(std::size_t base_vertices) {
 TEST(SnapshotSwapTest, ApplyDeltaPublishesNewEpoch) {
   const Graph base = PaperDataGraph();
   const QueryGraph q = PaperQuery();
-  MatchService svc(base, SwapTestOptions(2));
-  EXPECT_EQ(svc.epoch(), 1u);
+  TenantRouter svc(SwapTestOptions(2));
+  ASSERT_TRUE(svc.AddTenant(kGraph, base, SwapTenantOptions()).ok());
+  EXPECT_EQ(Epoch(svc), 1u);
 
-  auto before = svc.SubmitAndWait(q);
+  auto before = svc.SubmitAndWait(kGraph, q);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->graph_epoch, 1u);
   EXPECT_EQ(before->run.embeddings, BruteForceCount(q, base));
@@ -77,38 +91,41 @@ TEST(SnapshotSwapTest, ApplyDeltaPublishesNewEpoch) {
   const GraphDelta delta = AddPatternBlockDelta(base.NumVertices());
   auto expected_graph = ApplyDelta(base, delta);
   ASSERT_TRUE(expected_graph.ok());
-  auto epoch = svc.ApplyDelta(delta);
+  auto epoch = svc.ApplyDelta(kGraph, delta);
   ASSERT_TRUE(epoch.ok()) << epoch.status();
   EXPECT_EQ(*epoch, 2u);
-  EXPECT_EQ(svc.epoch(), 2u);
+  EXPECT_EQ(Epoch(svc), 2u);
 
-  auto after = svc.SubmitAndWait(q);
+  auto after = svc.SubmitAndWait(kGraph, q);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->graph_epoch, 2u);
   EXPECT_EQ(after->run.embeddings, BruteForceCount(q, *expected_graph));
   EXPECT_GT(after->run.embeddings, before->run.embeddings);
 
   const auto stats = svc.stats();
-  EXPECT_EQ(stats.epoch, 2u);
-  EXPECT_EQ(stats.graph_swaps, 1u);
+  EXPECT_EQ(stats.tenants[0].epoch, 2u);
+  EXPECT_EQ(stats.tenants[0].graph_swaps, 1u);
 }
 
 TEST(SnapshotSwapTest, ApplyDeltaRejectsBadDeltaAndKeepsEpoch) {
-  MatchService svc(PaperDataGraph(), SwapTestOptions(1));
+  TenantRouter svc(SwapTestOptions(1));
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph(), SwapTenantOptions()).ok());
   GraphDelta bad;
   bad.remove_vertices = {999};
-  EXPECT_EQ(svc.ApplyDelta(bad).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(svc.epoch(), 1u);
-  EXPECT_EQ(svc.stats().graph_swaps, 0u);
+  EXPECT_EQ(svc.ApplyDelta(kGraph, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Epoch(svc), 1u);
+  EXPECT_EQ(svc.stats().tenants[0].graph_swaps, 0u);
 }
 
 TEST(SnapshotSwapTest, SwapInvalidatesPlanCache) {
   const Graph base = PaperDataGraph();
   const QueryGraph q = PaperQuery();
-  MatchService svc(base, SwapTestOptions(1));
+  TenantRouter svc(SwapTestOptions(1));
+  ASSERT_TRUE(svc.AddTenant(kGraph, base, SwapTenantOptions()).ok());
 
-  ASSERT_TRUE(svc.SubmitAndWait(q).ok());
-  auto hit = svc.SubmitAndWait(q);
+  ASSERT_TRUE(svc.SubmitAndWait(kGraph, q).ok());
+  auto hit = svc.SubmitAndWait(kGraph, q);
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit->cache_hit);
 
@@ -117,19 +134,19 @@ TEST(SnapshotSwapTest, SwapInvalidatesPlanCache) {
   delta.remove_edges = {{2, 8}};
   auto expected_graph = ApplyDelta(base, delta);
   ASSERT_TRUE(expected_graph.ok());
-  ASSERT_TRUE(svc.ApplyDelta(delta).ok());
+  ASSERT_TRUE(svc.ApplyDelta(kGraph, delta).ok());
 
   // The cached CST was built on epoch 1 and must not serve epoch 2.
-  auto after = svc.SubmitAndWait(q);
+  auto after = svc.SubmitAndWait(kGraph, q);
   ASSERT_TRUE(after.ok());
   EXPECT_FALSE(after->cache_hit);
   EXPECT_EQ(after->graph_epoch, 2u);
   EXPECT_EQ(after->run.embeddings, BruteForceCount(q, *expected_graph));
   EXPECT_LT(after->run.embeddings, hit->run.embeddings);
-  EXPECT_GE(svc.stats().cache.invalidations, 1u);
+  EXPECT_GE(svc.stats().tenants[0].cache.invalidations, 1u);
 
   // And the epoch-2 rebuild is itself cached again.
-  auto rehit = svc.SubmitAndWait(q);
+  auto rehit = svc.SubmitAndWait(kGraph, q);
   ASSERT_TRUE(rehit.ok());
   EXPECT_TRUE(rehit->cache_hit);
   EXPECT_EQ(rehit->run.embeddings, after->run.embeddings);
@@ -137,9 +154,10 @@ TEST(SnapshotSwapTest, SwapInvalidatesPlanCache) {
 
 TEST(SnapshotSwapTest, SwapGraphReplacesWholeSnapshot) {
   const Graph base = PaperDataGraph();
-  MatchService svc(base, SwapTestOptions(2));
+  TenantRouter svc(SwapTestOptions(2));
+  ASSERT_TRUE(svc.AddTenant(kGraph, base, SwapTenantOptions()).ok());
   const QueryGraph tri = TriangleQuery();
-  auto before = svc.SubmitAndWait(tri);
+  auto before = svc.SubmitAndWait(kGraph, tri);
   ASSERT_TRUE(before.ok());
 
   // Replace the data graph wholesale with one lone A-B-C triangle.
@@ -152,9 +170,11 @@ TEST(SnapshotSwapTest, SwapGraphReplacesWholeSnapshot) {
   FAST_CHECK_OK(b.AddEdge(1, 2));
   Graph replacement = std::move(b).Build().value();
   const std::uint64_t expected = BruteForceCount(tri, replacement);
-  EXPECT_EQ(svc.SwapGraph(std::move(replacement)), 2u);
+  auto swapped = svc.SwapGraph(kGraph, std::move(replacement));
+  ASSERT_TRUE(swapped.ok()) << swapped.status();
+  EXPECT_EQ(*swapped, 2u);
 
-  auto after = svc.SubmitAndWait(tri);
+  auto after = svc.SubmitAndWait(kGraph, tri);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->graph_epoch, 2u);
   EXPECT_EQ(after->run.embeddings, expected);
@@ -164,7 +184,8 @@ TEST(SnapshotSwapTest, InFlightRequestFinishesOnCapturedSnapshot) {
   const Graph base = PaperDataGraph();
   const QueryGraph q = PaperQuery();
   const std::uint64_t old_count = BruteForceCount(q, base);
-  MatchService svc(base, SwapTestOptions(1));
+  TenantRouter svc(SwapTestOptions(1));
+  ASSERT_TRUE(svc.AddTenant(kGraph, base, SwapTenantOptions()).ok());
 
   // Park the single worker inside a request via its embedding callback, so
   // the request is provably in flight when the swap publishes.
@@ -175,14 +196,15 @@ TEST(SnapshotSwapTest, InFlightRequestFinishesOnCapturedSnapshot) {
     started.store(true);
     while (!release.load()) std::this_thread::yield();
   };
-  auto blocker = svc.Submit(q, blocker_opts);
+  auto blocker = svc.Submit(kGraph, q, blocker_opts);
   ASSERT_TRUE(blocker.ok());
   while (!started.load()) std::this_thread::yield();
 
   const GraphDelta delta = AddPatternBlockDelta(base.NumVertices());
   auto expected_graph = ApplyDelta(base, delta);
   ASSERT_TRUE(expected_graph.ok());
-  auto epoch = svc.ApplyDelta(delta);  // must not block on the running query
+  // Must not block on the running query.
+  auto epoch = svc.ApplyDelta(kGraph, delta);
   ASSERT_TRUE(epoch.ok());
   EXPECT_EQ(*epoch, 2u);
 
@@ -193,7 +215,7 @@ TEST(SnapshotSwapTest, InFlightRequestFinishesOnCapturedSnapshot) {
   EXPECT_EQ(in_flight->graph_epoch, 1u);
   EXPECT_EQ(in_flight->run.embeddings, old_count);
 
-  auto fresh = svc.SubmitAndWait(q);
+  auto fresh = svc.SubmitAndWait(kGraph, q);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->graph_epoch, 2u);
   EXPECT_EQ(fresh->run.embeddings, BruteForceCount(q, *expected_graph));
@@ -242,7 +264,8 @@ TEST(SnapshotSwapTest, ConcurrentClientsStayConsistentAcrossSwaps) {
     for (const Graph& g : graphs) expected[s].push_back(BruteForceCount(mix[s], g));
   }
 
-  MatchService svc(base, SwapTestOptions(kClients));
+  TenantRouter svc(SwapTestOptions(kClients));
+  ASSERT_TRUE(svc.AddTenant(kGraph, base, SwapTenantOptions()).ok());
   std::atomic<bool> writer_done{false};
   std::atomic<int> warmed_up{0};  // clients that completed >= 1 request
   std::atomic<int> mismatches{0};
@@ -261,7 +284,7 @@ TEST(SnapshotSwapTest, ConcurrentClientsStayConsistentAcrossSwaps) {
       while (done < kMinRequestsPerClient || !post_done_request) {
         const bool saw_writer_done = writer_done.load();
         const std::size_t s = (c + static_cast<std::size_t>(done)) % mix.size();
-        auto r = svc.SubmitAndWait(mix[s]);
+        auto r = svc.SubmitAndWait(kGraph, mix[s]);
         if (!r.ok()) {
           mismatches.fetch_add(1);
           break;
@@ -288,7 +311,7 @@ TEST(SnapshotSwapTest, ConcurrentClientsStayConsistentAcrossSwaps) {
     // guaranteed to observe results from at least two different epochs.
     while (warmed_up.load() < static_cast<int>(kClients)) std::this_thread::yield();
     for (const GraphDelta& d : deltas) {
-      auto epoch = svc.ApplyDelta(d);
+      auto epoch = svc.ApplyDelta(kGraph, d);
       ASSERT_TRUE(epoch.ok()) << epoch.status();
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -302,8 +325,8 @@ TEST(SnapshotSwapTest, ConcurrentClientsStayConsistentAcrossSwaps) {
   EXPECT_EQ(bad_epochs.load(), 0);
 
   const auto stats = svc.stats();
-  EXPECT_EQ(stats.epoch, static_cast<std::uint64_t>(kSwaps) + 1);
-  EXPECT_EQ(stats.graph_swaps, static_cast<std::uint64_t>(kSwaps));
+  EXPECT_EQ(stats.tenants[0].epoch, static_cast<std::uint64_t>(kSwaps) + 1);
+  EXPECT_EQ(stats.tenants[0].graph_swaps, static_cast<std::uint64_t>(kSwaps));
   EXPECT_EQ(stats.failed, 0u);
 
   std::set<std::uint64_t> all_epochs;
@@ -313,8 +336,10 @@ TEST(SnapshotSwapTest, ConcurrentClientsStayConsistentAcrossSwaps) {
   EXPECT_TRUE(all_epochs.count(1));
   EXPECT_TRUE(all_epochs.count(static_cast<std::uint64_t>(kSwaps) + 1));
   // The plan cache was exercised, not bypassed.
-  EXPECT_GT(stats.cache.hits, 0u);
-  EXPECT_GE(stats.cache.invalidations + stats.cache.evictions, 1u);
+  EXPECT_GT(stats.tenants[0].cache.hits, 0u);
+  EXPECT_GE(stats.tenants[0].cache.invalidations +
+                stats.tenants[0].cache.evictions,
+            1u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // End-to-end loopback tests for the wire transport (net/wire_server.h +
-// net/wire_client.h): a WireServer over a real MatchService/TenantRouter on
-// an ephemeral port, exercised by WireClients over actual sockets. Covers
+// net/wire_client.h): a WireServer over a real TenantRouter (one tenant under
+// the default session key, or several named ones) on an ephemeral port, exercised by WireClients over actual sockets. Covers
 // the protocol conversation (HELLO/ACK, SUBMIT/RESULT), embedding streaming,
 // both flavours of PUSHBACK flow control, per-request errors that keep the
 // stream alive, framing violations that don't, and concurrent submission —
@@ -17,7 +17,6 @@
 #include "net/socket.h"
 #include "net/wire_client.h"
 #include "net/wire_server.h"
-#include "service/match_service.h"
 #include "tenant/tenant_router.h"
 #include "tests/test_util.h"
 
@@ -28,8 +27,12 @@ using fast::testing::BruteForceCount;
 using fast::testing::PaperDataGraph;
 using fast::testing::PaperQuery;
 
-service::ServiceOptions BaseOptions() {
-  service::ServiceOptions options;
+// The single-graph server's tenant: the default session key, which is what
+// a WireSubmitArgs without a tenant sends.
+const service::SessionKey kGraph;
+
+tenant::RouterOptions BaseOptions() {
+  tenant::RouterOptions options;
   options.num_workers = 2;
   options.queue_capacity = 64;
   return options;
@@ -42,7 +45,8 @@ std::unique_ptr<WireClient> MustConnect(const WireServer& server) {
 }
 
 TEST(WireLoopback, CallRoundTrip) {
-  service::MatchService svc(PaperDataGraph(), BaseOptions());
+  tenant::TenantRouter svc(BaseOptions());
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
   WireServer server(&svc, WireServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   auto client = MustConnect(server);
@@ -66,7 +70,8 @@ TEST(WireLoopback, CallRoundTrip) {
 }
 
 TEST(WireLoopback, SampledEmbeddingsReturnedWithoutStreamingFlag) {
-  service::MatchService svc(PaperDataGraph(), BaseOptions());
+  tenant::TenantRouter svc(BaseOptions());
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
   WireServer server(&svc, WireServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   auto client = MustConnect(server);
@@ -86,7 +91,8 @@ TEST(WireLoopback, SampledEmbeddingsReturnedWithoutStreamingFlag) {
 }
 
 TEST(WireLoopback, StreamedEmbeddingsBoundedByStoreLimit) {
-  service::MatchService svc(PaperDataGraph(), BaseOptions());
+  tenant::TenantRouter svc(BaseOptions());
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
   WireServerOptions wopts;
   wopts.stream_rows_per_frame = 1;  // force one frame per row
   WireServer server(&svc, wopts);
@@ -108,9 +114,10 @@ TEST(WireLoopback, StreamedEmbeddingsBoundedByStoreLimit) {
 }
 
 TEST(WireLoopback, DeadlineRidesTheResultFrame) {
-  service::ServiceOptions options = BaseOptions();
+  tenant::RouterOptions options = BaseOptions();
   options.num_workers = 1;
-  service::MatchService svc(PaperDataGraph(), options);
+  tenant::TenantRouter svc(options);
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
   WireServer server(&svc, WireServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   auto client = MustConnect(server);
@@ -132,10 +139,11 @@ TEST(WireLoopback, DeadlineRidesTheResultFrame) {
 }
 
 TEST(WireLoopback, QueueFullAnswersPushbackNotDisconnect) {
-  service::ServiceOptions options = BaseOptions();
+  tenant::RouterOptions options = BaseOptions();
   options.num_workers = 1;
   options.queue_capacity = 1;
-  service::MatchService svc(PaperDataGraph(), options);
+  tenant::TenantRouter svc(options);
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
   WireServerOptions wopts;
   wopts.max_inflight_per_conn = 0;  // unlimited: only the queue pushes back
   WireServer server(&svc, wopts);
@@ -183,7 +191,8 @@ TEST(WireLoopback, QueueFullAnswersPushbackNotDisconnect) {
 }
 
 TEST(WireLoopback, ConnectionWindowPushbackCarriesConnLimitFlag) {
-  service::MatchService svc(PaperDataGraph(), BaseOptions());
+  tenant::TenantRouter svc(BaseOptions());
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
   WireServerOptions wopts;
   wopts.max_inflight_per_conn = 1;
   WireServer server(&svc, wopts);
@@ -238,6 +247,28 @@ TEST(WireLoopback, UnknownTenantIsAnErrorFrameNotAClosedStream) {
   router.Shutdown();
 }
 
+TEST(WireLoopback, SingleGraphServerAnswersNamedTenantWithErrorFrame) {
+  tenant::TenantRouter svc(BaseOptions());
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
+  WireServer server(&svc, WireServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = MustConnect(server);
+
+  // The one graph is registered under the empty session key only: a
+  // non-empty tenant header is an unknown tenant, not an alias.
+  WireSubmitArgs named;
+  named.tenant = "a";
+  auto resp = client->Call(PaperQuery(), std::move(named));
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->kind, WireResponse::Kind::kError);
+  EXPECT_EQ(resp->status.code(), StatusCode::kNotFound);
+
+  auto ok = client->Call(PaperQuery());
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok->kind, WireResponse::Kind::kResult);
+  EXPECT_TRUE(ok->status.ok());
+}
+
 TEST(WireLoopback, TenantHeaderRoutesToTheRightGraph) {
   tenant::RouterOptions ropts;
   ropts.num_workers = 2;
@@ -275,7 +306,8 @@ TEST(WireLoopback, TenantHeaderRoutesToTheRightGraph) {
 }
 
 TEST(WireLoopback, PingPong) {
-  service::MatchService svc(PaperDataGraph(), BaseOptions());
+  tenant::TenantRouter svc(BaseOptions());
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
   WireServer server(&svc, WireServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   auto client = MustConnect(server);
@@ -284,7 +316,8 @@ TEST(WireLoopback, PingPong) {
 }
 
 TEST(WireLoopback, GarbageBytesCloseOnlyThatConnection) {
-  service::MatchService svc(PaperDataGraph(), BaseOptions());
+  tenant::TenantRouter svc(BaseOptions());
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
   WireServer server(&svc, WireServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   auto healthy = MustConnect(server);
@@ -308,7 +341,8 @@ TEST(WireLoopback, GarbageBytesCloseOnlyThatConnection) {
 }
 
 TEST(WireLoopback, ConcurrentSubmissionsAcrossConnections) {
-  service::MatchService svc(PaperDataGraph(), BaseOptions());
+  tenant::TenantRouter svc(BaseOptions());
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
   WireServer server(&svc, WireServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
@@ -339,9 +373,10 @@ TEST(WireLoopback, ConcurrentSubmissionsAcrossConnections) {
 }
 
 TEST(WireLoopback, CloseFailsEveryOutstandingHandlerExactlyOnce) {
-  service::ServiceOptions options = BaseOptions();
+  tenant::RouterOptions options = BaseOptions();
   options.num_workers = 1;
-  service::MatchService svc(PaperDataGraph(), options);
+  tenant::TenantRouter svc(options);
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
   WireServerOptions wopts;
   wopts.max_inflight_per_conn = 0;
   WireServer server(&svc, wopts);
@@ -361,7 +396,8 @@ TEST(WireLoopback, CloseFailsEveryOutstandingHandlerExactlyOnce) {
 }
 
 TEST(WireLoopback, WireTracesCoverRecvThroughRemap) {
-  service::MatchService svc(PaperDataGraph(), BaseOptions());
+  tenant::TenantRouter svc(BaseOptions());
+  ASSERT_TRUE(svc.AddTenant(kGraph, PaperDataGraph()).ok());
   WireServer server(&svc, WireServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   auto client = MustConnect(server);

@@ -1,6 +1,7 @@
 // fast_serve: serve a stream of subgraph-matching queries from a worker pool
-// over one shared data graph, with the plan/CST cache in front of the
-// pipeline (src/service/).
+// over one shared data graph (or N, with --tenants N), with the plan/CST
+// cache in front of the pipeline. Every mode runs one tenant::TenantRouter;
+// a single graph is its one tenant under the default session key.
 //
 // Replay mode (default): submit a query mix for a fixed duration from
 // concurrent client threads and print service-level stats.
@@ -12,7 +13,7 @@
 // One-shot mode: --once runs each query exactly once and prints its count
 // and latency (useful for smoke tests and scripting).
 //
-// Online updates (epoch-based snapshot swap, src/service/match_service.h):
+// Online updates (epoch-based snapshot swap, src/service/graph_state.h):
 //   --update F1[,F2,...]  delta files (graph/graph_delta.h text format).
 //                         In --once mode each delta is applied in turn and
 //                         the query list re-runs after every swap, printing
@@ -39,7 +40,7 @@
 //   --weights W1,...,WN   per-tenant WRR weights (default: all 1)
 //   --zipf-s S            tenant-pick skew; tenant 0 is the hottest
 //   With --swap-every-ms, the writer churns the tenants round-robin, so the
-//   per-tenant epochs advance independently.
+//   per-tenant epochs advance independently (one tenant: every swap hits it).
 //
 // Shared device executor (src/device/device_executor.h):
 //   --device              route partition matching to ONE shared simulated
@@ -53,11 +54,13 @@
 //
 // Transport mode (src/net/):
 //   --listen              serve the binary wire protocol over TCP instead of
-//                         driving in-process replay clients. Works single-
-//                         graph and with --tenants N (the SUBMIT frame's
-//                         tenant id routes). Prints the bound address, then
-//                         serves for --duration seconds, or until stdin
-//                         closes when no --duration is given.
+//                         driving in-process replay clients. The SUBMIT
+//                         frame's tenant id routes: empty for a single
+//                         graph, t0..tN-1 with --tenants N; any other id is
+//                         answered with an ERROR frame (NOT_FOUND). Prints
+//                         the bound address, then serves for --duration
+//                         seconds, or until stdin closes when no --duration
+//                         is given.
 //   --host H / --port P   bind address (default 127.0.0.1, ephemeral port)
 //   --max-inflight N      per-connection in-flight window advertised in
 //                         HELLO_ACK; beyond it SUBMITs get PUSHBACK (64)
@@ -105,7 +108,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "service/match_service.h"
 #include "simd/intersect.h"
 #include "tenant/tenant_router.h"
 #include "tools/flag_parser.h"
@@ -118,9 +120,7 @@
 namespace {
 
 using namespace fast;
-using service::MatchService;
 using service::RequestOptions;
-using service::ServiceOptions;
 
 // Observability exports (src/obs/): where to write the final registry
 // snapshot, the Prometheus text dump, and the retained-trace JSONL.
@@ -354,81 +354,139 @@ int RunListen(
   return WriteObsOutputs(obs_cfg, *registry, sampler.get(), traces(), frontend);
 }
 
-// Multi-tenant replay: N generated graphs behind one TenantRouter, clients
-// picking tenants Zipf-skewed, an optional writer churning the tenants
-// round-robin. Invoked by Run() when --tenants > 1.
-int RunMultiTenant(const tools::FlagParser& flags, const ServiceOptions& options,
-                   const std::vector<QueryGraph>& queries,
-                   std::vector<Graph> graphs, std::size_t store,
-                   const ObsConfig& obs_cfg, obs::MetricsRegistry* registry,
-                   const std::string& flags_echo) {
-  const std::size_t num_tenants = graphs.size();
-  double duration, zipf_s, swap_every_ms;
-  std::size_t clients, quota, churn;
-  FAST_FLAG_ASSIGN_OR_USAGE(duration, flags.GetDouble("duration", 5.0));
-  FAST_FLAG_ASSIGN_OR_USAGE(clients, flags.GetSizeT("clients", 4));
-  FAST_FLAG_ASSIGN_OR_USAGE(zipf_s, flags.GetDouble("zipf-s", 0.0));
-  FAST_FLAG_ASSIGN_OR_USAGE(quota, flags.GetSizeT("quota", 0));
-  FAST_FLAG_ASSIGN_OR_USAGE(swap_every_ms, flags.GetDouble("swap-every-ms", 0.0));
-  FAST_FLAG_ASSIGN_OR_USAGE(churn, flags.GetSizeT("churn", 16));
-  clients = std::max<std::size_t>(clients, 1);
-
-  std::vector<std::uint32_t> weights(num_tenants, 1);
-  const std::string weight_spec = flags.GetString("weights", "");
-  if (!weight_spec.empty()) {
-    const std::vector<std::string> parts = SplitCsv(weight_spec);
-    if (parts.size() != num_tenants) {
-      std::fprintf(stderr, "--weights: want %zu comma-separated values, got %zu\n",
-                   num_tenants, parts.size());
-      return 2;
-    }
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      char* end = nullptr;
-      const unsigned long w = std::strtoul(parts[i].c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || w == 0) {
-        std::fprintf(stderr, "--weights: '%s' is not a positive integer\n",
-                     parts[i].c_str());
-        return 2;
-      }
-      weights[i] = static_cast<std::uint32_t>(w);
-    }
+// Per-tenant breakdown shared by the one-shot and replay summaries.
+void PrintTenantTable(const tenant::RouterStats& stats) {
+  std::printf("%-10s %6s %10s %10s %10s %9s %7s %7s %9s %8s\n", "tenant", "wgt",
+              "completed", "p50 ms", "p99 ms", "rejected", "epoch", "swaps",
+              "hit rate", "inval");
+  for (const auto& t : stats.tenants) {
+    std::printf("%-10s %6u %10llu %10.3f %10.3f %9llu %7llu %7llu %8.1f%% %8llu\n",
+                t.id.empty() ? "__default" : t.id.c_str(), t.weight,
+                static_cast<unsigned long long>(t.completed),
+                t.latency.P50() * 1e3, t.latency.P99() * 1e3,
+                static_cast<unsigned long long>(t.rejected_queue_full +
+                                                t.rejected_quota),
+                static_cast<unsigned long long>(t.epoch),
+                static_cast<unsigned long long>(t.graph_swaps),
+                t.cache.HitRate() * 100.0,
+                static_cast<unsigned long long>(t.cache.invalidations));
   }
+  if (stats.device_mode) {
+    std::printf("device:      %s\n", stats.device.Summary().c_str());
+  }
+}
 
-  // RouterOptions IS the shared pool/obs configuration: copy the common base
-  // in one assignment (the per-graph cache fields move to TenantOptions).
-  tenant::RouterOptions ropts;
-  static_cast<service::CommonServingOptions&>(ropts) = options;
-  tenant::TenantRouter router(ropts);
-
-  std::vector<std::string> ids;
-  for (std::size_t i = 0; i < num_tenants; ++i) {
-    tenant::TenantOptions topts;
-    topts.plan_cache_capacity = options.plan_cache_capacity;
-    topts.plan_cache_byte_budget = options.plan_cache_byte_budget;
-    topts.max_queued = quota;
-    topts.weight = weights[i];
-    ids.push_back("t" + std::to_string(i));
-    const Status s = router.AddTenant(ids.back(), std::move(graphs[i]), topts);
-    if (!s.ok()) {
-      std::fprintf(stderr, "tenant %s: %s\n", ids.back().c_str(),
-                   s.ToString().c_str());
+// One-shot mode (--once, single graph): each query runs once, then again
+// after every --update delta and after a --reload, printing the published
+// epoch per result.
+int RunOnce(tenant::TenantRouter& router, const service::SessionKey& id,
+            const tools::FlagParser& flags,
+            const std::vector<QueryGraph>& queries,
+            const std::vector<GraphDelta>& deltas, std::size_t store,
+            const ObsConfig& obs_cfg, obs::MetricsRegistry* registry) {
+  auto run_pass = [&]() -> int {
+    for (const QueryGraph& q : queries) {
+      RequestOptions ropts;
+      ropts.store_limit = store;
+      auto r = router.SubmitAndWait(id, q, ropts);
+      if (!r.ok()) {
+        std::fprintf(stderr, "%s: %s\n", q.name().c_str(),
+                     r.status().ToString().c_str());
+        return 1;
+      }
+      std::printf("%-10s embeddings=%-12llu epoch=%llu latency=%.3fms %s\n",
+                  q.name().c_str(),
+                  static_cast<unsigned long long>(r->run.embeddings),
+                  static_cast<unsigned long long>(r->graph_epoch),
+                  r->total_seconds * 1e3, r->cache_hit ? "(cache hit)" : "");
+      for (const auto& e : r->run.sample_embeddings) {
+        std::printf("  match:");
+        for (std::size_t u = 0; u < e.size(); ++u) {
+          std::printf(" u%zu->v%u", u, e[u]);
+        }
+        std::printf("\n");
+      }
+    }
+    return 0;
+  };
+  // Publishes a new snapshot, reports it, and re-runs the query list, so
+  // the effect of each update on the counts is visible epoch by epoch.
+  auto publish = [&](const std::string& what,
+                     const StatusOr<std::uint64_t>& epoch) -> int {
+    if (!epoch.ok()) {
+      std::fprintf(stderr, "%s: %s\n", what.c_str(),
+                   epoch.status().ToString().c_str());
       return 1;
     }
+    std::printf("\n%s -> epoch %llu, data: %s\n", what.c_str(),
+                static_cast<unsigned long long>(*epoch),
+                router.snapshot(id)->graph->Summary().c_str());
+    return run_pass();
+  };
+  if (int rc = run_pass(); rc != 0) return rc;
+  for (const GraphDelta& delta : deltas) {
+    if (int rc = publish("update " + delta.Summary(), router.ApplyDelta(id, delta));
+        rc != 0) {
+      return rc;
+    }
   }
-  std::printf("serve: %zu tenants, %zu shared workers, queue=%zu, quota=%zu, "
-              "zipf s=%g\n",
-              num_tenants, router.num_workers(), ropts.queue_capacity, quota,
-              zipf_s);
-
-  auto admin = StartAdminServer(flags, &router, registry, flags_echo);
-  if (!admin.ok()) {
-    std::fprintf(stderr, "admin: %s\n", admin.status().ToString().c_str());
-    return 1;
+  if (flags.Has("reload")) {
+    auto replacement = LoadGraphFile(flags.GetString("reload", ""));
+    if (!replacement.ok()) {
+      std::fprintf(stderr, "--reload: %s\n",
+                   replacement.status().ToString().c_str());
+      return 1;
+    }
+    if (int rc = publish("reload", router.SwapGraph(id, std::move(*replacement)));
+        rc != 0) {
+      return rc;
+    }
   }
+  const auto stats = router.stats();
+  std::printf("%s\n", stats.Summary().c_str());
+  PrintTenantTable(stats);
+  return WriteObsOutputs(obs_cfg, *registry, /*sampler=*/nullptr,
+                         router.recent_traces(), &router);
+}
 
-  if (flags.Has("listen")) {
-    return RunListen(&router, flags, obs_cfg, registry,
-                     [&router] { return router.recent_traces(); });
+// Fixed-duration replay over the router's tenants: clients pick tenants
+// Zipf(--zipf-s)-skewed (one tenant: always it), and an optional writer
+// publishes a snapshot every --swap-every-ms on the tenants round-robin —
+// the --update deltas cycled, or random edge churn — so every tenant's epoch
+// advances independently of the others. A failed swap fails the whole run:
+// a writer that silently stopped would freeze the snapshot while the replay
+// keeps reporting success.
+int RunReplay(tenant::TenantRouter& router,
+              const std::vector<service::SessionKey>& ids,
+              const tools::FlagParser& flags,
+              const std::vector<QueryGraph>& queries,
+              const std::vector<GraphDelta>& deltas, std::size_t churn,
+              std::size_t store, double zipf_s, const ObsConfig& obs_cfg,
+              obs::MetricsRegistry* registry) {
+  // All flags parse before any thread spawns: an early `return 2` with
+  // joinable client threads would std::terminate.
+  double duration, swap_every_ms;
+  std::size_t clients;
+  FAST_FLAG_ASSIGN_OR_USAGE(duration, flags.GetDouble("duration", 5.0));
+  FAST_FLAG_ASSIGN_OR_USAGE(clients, flags.GetSizeT("clients", 4));
+  FAST_FLAG_ASSIGN_OR_USAGE(swap_every_ms, flags.GetDouble("swap-every-ms", 0.0));
+  clients = std::max<std::size_t>(clients, 1);
+  if (flags.Has("reload")) {
+    std::fprintf(stderr, "--reload only applies in --once mode "
+                         "(use --update/--swap-every-ms in replay mode)\n");
+    return 2;
+  }
+  if (!deltas.empty() && swap_every_ms <= 0.0) {
+    std::fprintf(stderr, "--update in replay mode needs --swap-every-ms "
+                         "(or add --once to apply the deltas one-shot)\n");
+    return 2;
+  }
+  // --churn only feeds the random-delta writer; reject it when that writer
+  // won't run rather than silently measuring an unchurned replay.
+  if (flags.Has("churn") && (swap_every_ms <= 0.0 || !deltas.empty())) {
+    std::fprintf(stderr, "--churn needs --swap-every-ms and no --update files "
+                         "(churn generates the random deltas)\n");
+    return 2;
   }
 
   std::unique_ptr<obs::PeriodicSampler> sampler;
@@ -436,7 +494,7 @@ int RunMultiTenant(const tools::FlagParser& flags, const ServiceOptions& options
     sampler = StartGaugeSampler(registry, obs_cfg.sample_ms);
   }
 
-  const std::vector<double> cdf = ZipfCdf(num_tenants, zipf_s);
+  const std::vector<double> cdf = ZipfCdf(ids.size(), zipf_s);
   std::atomic<bool> stop{false};
   std::vector<std::thread> client_threads;
   client_threads.reserve(clients);
@@ -446,23 +504,23 @@ int RunMultiTenant(const tools::FlagParser& flags, const ServiceOptions& options
       while (!stop.load(std::memory_order_relaxed)) {
         const std::size_t t = SampleCdf(cdf, rng);
         const QueryGraph& q = queries[rng.Uniform(queries.size())];
-        RequestOptions ropts_req;
-        ropts_req.store_limit = store;
-        auto id = router.Submit(ids[t], q, ropts_req);
+        RequestOptions ropts;
+        ropts.store_limit = store;
+        auto id = router.Submit(ids[t], q, ropts);
         if (!id.ok()) continue;  // global or per-tenant admission control
         router.Wait(*id);
       }
     });
   }
-  // Optional writer: churn the tenants round-robin, one swap per interval,
-  // so every tenant's epoch advances independently of the others.
   std::thread writer;
   std::atomic<bool> writer_failed{false};
   if (swap_every_ms > 0.0) {
     writer = std::thread([&] {
       Rng rng(0xD317A);
       std::size_t next_tenant = 0;
+      std::size_t next_delta = 0;
       while (!stop.load(std::memory_order_relaxed)) {
+        // Sliced sleep so a long interval doesn't delay shutdown.
         Timer interval;
         while (!stop.load(std::memory_order_relaxed) &&
                interval.ElapsedSeconds() * 1e3 < swap_every_ms) {
@@ -470,12 +528,13 @@ int RunMultiTenant(const tools::FlagParser& flags, const ServiceOptions& options
         }
         if (stop.load(std::memory_order_relaxed)) break;
         const std::string& id = ids[next_tenant++ % ids.size()];
-        auto snap = router.snapshot(id);
-        if (!snap.ok()) {
-          writer_failed.store(true);
-          break;
+        GraphDelta delta;
+        if (!deltas.empty()) {
+          delta = deltas[next_delta++ % deltas.size()];
+        } else {
+          // Tenants are never removed here, so the snapshot always exists.
+          delta = RandomChurnDelta(*router.snapshot(id)->graph, churn, rng);
         }
-        const GraphDelta delta = RandomChurnDelta(*snap->graph, churn, rng);
         auto epoch = router.ApplyDelta(id, delta);
         if (!epoch.ok()) {
           std::fprintf(stderr, "swap %s: %s\n", id.c_str(),
@@ -498,28 +557,23 @@ int RunMultiTenant(const tools::FlagParser& flags, const ServiceOptions& options
 
   const auto stats = router.stats();
   const double elapsed = wall.ElapsedSeconds();
-  std::printf("\n--- %.1fs multi-tenant replay, %zu client thread%s ---\n",
-              elapsed, clients, clients == 1 ? "" : "s");
-  std::printf("aggregate:   %.1f queries/sec | %s\n",
-              static_cast<double>(stats.completed) / elapsed,
-              stats.Summary().c_str());
-  std::printf("%-8s %8s %12s %10s %10s %10s %8s %8s %10s\n", "tenant", "wgt",
-              "completed", "p50 ms", "p99 ms", "rejected", "epoch", "swaps",
-              "hit rate");
-  for (const auto& t : stats.tenants) {
-    std::printf("%-8s %8u %12llu %10.3f %10.3f %10llu %8llu %8llu %9.1f%%\n",
-                t.id.c_str(), t.weight,
-                static_cast<unsigned long long>(t.completed),
-                t.latency.P50() * 1e3, t.latency.P99() * 1e3,
-                static_cast<unsigned long long>(t.rejected_queue_full +
-                                                t.rejected_quota),
-                static_cast<unsigned long long>(t.epoch),
-                static_cast<unsigned long long>(t.graph_swaps),
-                t.cache.HitRate() * 100.0);
-  }
-  if (stats.device_mode) {
-    std::printf("device:      %s\n", stats.device.Summary().c_str());
-  }
+  std::printf("\n--- %.1fs replay, %zu client thread%s, %zu tenant%s ---\n",
+              elapsed, clients, clients == 1 ? "" : "s", ids.size(),
+              ids.size() == 1 ? "" : "s");
+  std::printf("throughput:  %.1f queries/sec\n",
+              static_cast<double>(stats.completed) / elapsed);
+  std::printf("latency:     p50=%.3fms p99=%.3fms mean=%.3fms max=%.3fms\n",
+              stats.latency.P50() * 1e3, stats.latency.P99() * 1e3,
+              stats.latency.mean_seconds() * 1e3, stats.latency.max_seconds() * 1e3);
+  std::printf("requests:    submitted=%llu completed=%llu failed=%llu\n",
+              static_cast<unsigned long long>(stats.submitted),
+              static_cast<unsigned long long>(stats.completed),
+              static_cast<unsigned long long>(stats.failed));
+  std::printf("rejected:    queue_full=%llu quota=%llu deadline=%llu\n",
+              static_cast<unsigned long long>(stats.rejected_queue_full),
+              static_cast<unsigned long long>(stats.rejected_quota),
+              static_cast<unsigned long long>(stats.rejected_deadline));
+  PrintTenantTable(stats);
   if (int rc = WriteObsOutputs(obs_cfg, *registry, sampler.get(),
                                router.recent_traces(), &router);
       rc != 0) {
@@ -588,23 +642,48 @@ int Run(int argc, char** argv) {
     flags_echo += argv[i];
   }
 
-  // --- Data graph. ---
-  StatusOr<Graph> graph = Status::InvalidArgument("one of --data/--sf required");
+  // --- Data graphs: --data FILE or a generated graph at --sf for tenant 0;
+  // with --tenants N the rest get fresh graphs from consecutive seeds so the
+  // tenants carry genuinely different data. ---
+  std::size_t num_tenants;
+  FAST_FLAG_ASSIGN_OR_USAGE(num_tenants, flags->GetSizeT("tenants", 1));
+  num_tenants = std::max<std::size_t>(num_tenants, 1);
+  if (num_tenants > 1 && (flags->Has("data") || flags->Has("once") ||
+                          flags->Has("update") || flags->Has("reload"))) {
+    std::fprintf(stderr, "--tenants requires --sf replay mode (no --data, "
+                         "--once, --update, or --reload)\n");
+    return 2;
+  }
+  if (num_tenants == 1 &&
+      (flags->Has("zipf-s") || flags->Has("quota") || flags->Has("weights"))) {
+    std::fprintf(stderr, "--zipf-s/--quota/--weights only apply with "
+                         "--tenants N (N > 1)\n");
+    return 2;
+  }
+  std::vector<Graph> graphs;
   if (flags->Has("data")) {
-    graph = LoadGraphFile(flags->GetString("data", ""));
+    auto g = LoadGraphFile(flags->GetString("data", ""));
+    if (!g.ok()) {
+      std::fprintf(stderr, "data: %s\n", g.status().ToString().c_str());
+      return 1;
+    }
+    graphs.push_back(std::move(*g));
   } else {
     LdbcConfig config;
     FAST_FLAG_ASSIGN_OR_USAGE(config.scale_factor, flags->GetDouble("sf", 0.5));
     long long seed;
     FAST_FLAG_ASSIGN_OR_USAGE(seed, flags->GetInt("seed", 42));
-    config.seed = static_cast<std::uint64_t>(seed);
-    graph = GenerateLdbcGraph(config);
+    for (std::size_t i = 0; i < num_tenants; ++i) {
+      config.seed = static_cast<std::uint64_t>(seed) + i;
+      auto g = GenerateLdbcGraph(config);
+      if (!g.ok()) {
+        std::fprintf(stderr, "data: %s\n", g.status().ToString().c_str());
+        return 1;
+      }
+      graphs.push_back(std::move(*g));
+    }
   }
-  if (!graph.ok()) {
-    std::fprintf(stderr, "data: %s\n", graph.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("data:  %s\n", graph->Summary().c_str());
+  std::printf("data:  %s\n", graphs.front().Summary().c_str());
 
   auto queries = LoadQueryMix(*flags);
   if (!queries.ok()) {
@@ -614,15 +693,16 @@ int Run(int argc, char** argv) {
   std::printf("mix:   %zu quer%s\n", queries->size(),
               queries->size() == 1 ? "y" : "ies");
 
-  // --- Service configuration. ---
-  ServiceOptions options;
+  // --- Router and per-tenant configuration. ---
+  tenant::RouterOptions options;
+  tenant::TenantOptions topts;
   FAST_FLAG_ASSIGN_OR_USAGE(options.num_workers, flags->GetSizeT("workers", 0));
   FAST_FLAG_ASSIGN_OR_USAGE(options.queue_capacity, flags->GetSizeT("queue", 256));
-  FAST_FLAG_ASSIGN_OR_USAGE(options.plan_cache_capacity,
+  FAST_FLAG_ASSIGN_OR_USAGE(topts.plan_cache_capacity,
                             flags->GetSizeT("cache-size", 64));
-  FAST_FLAG_ASSIGN_OR_USAGE(options.plan_cache_byte_budget,
+  FAST_FLAG_ASSIGN_OR_USAGE(topts.plan_cache_byte_budget,
                             flags->GetSizeT("cache-bytes", 0));
-  if (flags->Has("no-cache")) options.plan_cache_capacity = 0;
+  if (flags->Has("no-cache")) topts.plan_cache_capacity = 0;
   double deadline_ms;
   FAST_FLAG_ASSIGN_OR_USAGE(deadline_ms, flags->GetDouble("deadline-ms", 0.0));
   options.default_deadline_seconds = deadline_ms / 1e3;
@@ -640,6 +720,29 @@ int Run(int argc, char** argv) {
   } else {
     std::fprintf(stderr, "unknown --variant %s\n", variant.c_str());
     return 2;
+  }
+  FAST_FLAG_ASSIGN_OR_USAGE(topts.max_queued, flags->GetSizeT("quota", 0));
+  double zipf_s;
+  FAST_FLAG_ASSIGN_OR_USAGE(zipf_s, flags->GetDouble("zipf-s", 0.0));
+  std::vector<std::uint32_t> weights(num_tenants, 1);
+  const std::string weight_spec = flags->GetString("weights", "");
+  if (!weight_spec.empty()) {
+    const std::vector<std::string> parts = SplitCsv(weight_spec);
+    if (parts.size() != num_tenants) {
+      std::fprintf(stderr, "--weights: want %zu comma-separated values, got %zu\n",
+                   num_tenants, parts.size());
+      return 2;
+    }
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      char* end = nullptr;
+      const unsigned long w = std::strtoul(parts[i].c_str(), &end, 10);
+      if (end == nullptr || *end != '\0' || w == 0) {
+        std::fprintf(stderr, "--weights: '%s' is not a positive integer\n",
+                     parts[i].c_str());
+        return 2;
+      }
+      weights[i] = static_cast<std::uint32_t>(w);
+    }
   }
   std::size_t store;
   FAST_FLAG_ASSIGN_OR_USAGE(store, flags->GetSizeT("store", 0));
@@ -724,61 +827,7 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  // --- Multi-tenant replay branch. ---
-  std::size_t num_tenants;
-  FAST_FLAG_ASSIGN_OR_USAGE(num_tenants, flags->GetSizeT("tenants", 1));
-  if (num_tenants > 1) {
-    if (flags->Has("data") || flags->Has("once") || flags->Has("update") ||
-        flags->Has("reload")) {
-      std::fprintf(stderr, "--tenants requires --sf replay mode (no --data, "
-                           "--once, --update, or --reload)\n");
-      return 2;
-    }
-    // Tenant 0 serves the graph generated above; the rest get fresh graphs
-    // from consecutive seeds so the tenants carry genuinely different data.
-    std::vector<Graph> graphs;
-    graphs.push_back(std::move(*graph));
-    LdbcConfig config;
-    FAST_FLAG_ASSIGN_OR_USAGE(config.scale_factor, flags->GetDouble("sf", 0.5));
-    long long seed;
-    FAST_FLAG_ASSIGN_OR_USAGE(seed, flags->GetInt("seed", 42));
-    for (std::size_t i = 1; i < num_tenants; ++i) {
-      config.seed = static_cast<std::uint64_t>(seed) + i;
-      auto g = GenerateLdbcGraph(config);
-      if (!g.ok()) {
-        std::fprintf(stderr, "data: %s\n", g.status().ToString().c_str());
-        return 1;
-      }
-      graphs.push_back(std::move(*g));
-    }
-    return RunMultiTenant(*flags, options, *queries, std::move(graphs), store,
-                          obs_cfg, &registry, flags_echo);
-  }
-  if (flags->Has("zipf-s") || flags->Has("quota") || flags->Has("weights")) {
-    std::fprintf(stderr, "--zipf-s/--quota/--weights only apply with "
-                         "--tenants N (N > 1)\n");
-    return 2;
-  }
-
-  MatchService svc(std::move(*graph), options);
-  std::printf("serve: %zu workers, queue=%zu, cache=%zu entries%s%s\n",
-              svc.num_workers(), options.queue_capacity,
-              options.plan_cache_capacity,
-              options.plan_cache_capacity == 0 ? " (disabled)" : "",
-              options.device_mode ? ", shared device executor" : "");
-
-  auto admin = StartAdminServer(*flags, &svc, &registry, flags_echo);
-  if (!admin.ok()) {
-    std::fprintf(stderr, "admin: %s\n", admin.status().ToString().c_str());
-    return 1;
-  }
-
-  if (flags->Has("listen")) {
-    return RunListen(&svc, *flags, obs_cfg, &registry,
-                     [&svc] { return svc.recent_traces(); });
-  }
-
-  // --- Online-update inputs (shared by both modes). ---
+  // --- Online-update inputs (one-shot and replay). ---
   auto deltas = LoadDeltaFiles(flags->GetString("update", ""));
   if (!deltas.ok()) {
     std::fprintf(stderr, "--update: %s\n", deltas.status().ToString().c_str());
@@ -786,206 +835,51 @@ int Run(int argc, char** argv) {
   }
   std::size_t churn;
   FAST_FLAG_ASSIGN_OR_USAGE(churn, flags->GetSizeT("churn", 16));
-
-  // --- One-shot mode. ---
-  if (flags->Has("once")) {
-    if (flags->Has("swap-every-ms") || flags->Has("churn")) {
-      std::fprintf(stderr, "--swap-every-ms/--churn only apply in replay mode "
-                           "(drop --once, or use --update for one-shot swaps)\n");
-      return 2;
-    }
-    auto run_pass = [&]() -> int {
-      for (const QueryGraph& q : *queries) {
-        RequestOptions ropts;
-        ropts.store_limit = store;
-        auto r = svc.SubmitAndWait(q, ropts);
-        if (!r.ok()) {
-          std::fprintf(stderr, "%s: %s\n", q.name().c_str(),
-                       r.status().ToString().c_str());
-          return 1;
-        }
-        std::printf("%-10s embeddings=%-12llu epoch=%llu latency=%.3fms %s\n",
-                    q.name().c_str(),
-                    static_cast<unsigned long long>(r->run.embeddings),
-                    static_cast<unsigned long long>(r->graph_epoch),
-                    r->total_seconds * 1e3, r->cache_hit ? "(cache hit)" : "");
-        for (const auto& e : r->run.sample_embeddings) {
-          std::printf("  match:");
-          for (std::size_t u = 0; u < e.size(); ++u) {
-            std::printf(" u%zu->v%u", u, e[u]);
-          }
-          std::printf("\n");
-        }
-      }
-      return 0;
-    };
-    if (int rc = run_pass(); rc != 0) return rc;
-    // Each update swaps in a new snapshot and re-runs the query list, so the
-    // effect of the delta on the counts is visible epoch by epoch.
-    for (std::size_t i = 0; i < deltas->size(); ++i) {
-      auto epoch = svc.ApplyDelta((*deltas)[i]);
-      if (!epoch.ok()) {
-        std::fprintf(stderr, "update: %s\n", epoch.status().ToString().c_str());
-        return 1;
-      }
-      std::printf("\nupdate %s -> epoch %llu, data: %s\n",
-                  (*deltas)[i].Summary().c_str(),
-                  static_cast<unsigned long long>(*epoch),
-                  svc.snapshot().graph->Summary().c_str());
-      if (int rc = run_pass(); rc != 0) return rc;
-    }
-    if (flags->Has("reload")) {
-      auto replacement = LoadGraphFile(flags->GetString("reload", ""));
-      if (!replacement.ok()) {
-        std::fprintf(stderr, "--reload: %s\n",
-                     replacement.status().ToString().c_str());
-        return 1;
-      }
-      const std::uint64_t epoch = svc.SwapGraph(std::move(*replacement));
-      std::printf("\nreload -> epoch %llu, data: %s\n",
-                  static_cast<unsigned long long>(epoch),
-                  svc.snapshot().graph->Summary().c_str());
-      if (int rc = run_pass(); rc != 0) return rc;
-    }
-    const auto stats = svc.stats();
-    std::printf("%s\n", stats.Summary().c_str());
-    if (stats.device_mode) {
-      std::printf("device: %s\n", stats.device.Summary().c_str());
-    }
-    return WriteObsOutputs(obs_cfg, registry, /*sampler=*/nullptr,
-                           svc.recent_traces(), &svc);
-  }
-
-  // --- Fixed-duration replay. ---
-  // All flags parse before any thread spawns: an early `return 2` with
-  // joinable client threads would std::terminate.
-  double duration;
-  FAST_FLAG_ASSIGN_OR_USAGE(duration, flags->GetDouble("duration", 5.0));
-  std::size_t clients;
-  FAST_FLAG_ASSIGN_OR_USAGE(clients, flags->GetSizeT("clients", 4));
-  clients = std::max<std::size_t>(clients, 1);
-  double swap_every_ms;
-  FAST_FLAG_ASSIGN_OR_USAGE(swap_every_ms, flags->GetDouble("swap-every-ms", 0.0));
-  if (flags->Has("reload")) {
-    std::fprintf(stderr, "--reload only applies in --once mode "
-                         "(use --update/--swap-every-ms in replay mode)\n");
-    return 2;
-  }
-  if (!deltas->empty() && swap_every_ms <= 0.0) {
-    std::fprintf(stderr, "--update in replay mode needs --swap-every-ms "
-                         "(or add --once to apply the deltas one-shot)\n");
-    return 2;
-  }
-  // --churn only feeds the random-delta writer; reject it when that writer
-  // won't run rather than silently measuring an unchurned replay.
-  if (flags->Has("churn") && (swap_every_ms <= 0.0 || !deltas->empty())) {
-    std::fprintf(stderr, "--churn needs --swap-every-ms and no --update files "
-                         "(churn generates the random deltas)\n");
+  if (flags->Has("once") &&
+      (flags->Has("swap-every-ms") || flags->Has("churn"))) {
+    std::fprintf(stderr, "--swap-every-ms/--churn only apply in replay mode "
+                         "(drop --once, or use --update for one-shot swaps)\n");
     return 2;
   }
 
-  std::unique_ptr<obs::PeriodicSampler> sampler;
-  if (!obs_cfg.metrics_json.empty()) {
-    sampler = StartGaugeSampler(&registry, obs_cfg.sample_ms);
+  // A single graph is one tenant under the default session key; N graphs
+  // are tenants t0..tN-1 behind the same shared pool.
+  tenant::TenantRouter router(options);
+  std::vector<service::SessionKey> ids;
+  for (std::size_t i = 0; i < num_tenants; ++i) {
+    ids.push_back(num_tenants == 1 ? service::SessionKey()
+                                   : "t" + std::to_string(i));
+    topts.weight = weights[i];
+    const Status s = router.AddTenant(ids.back(), std::move(graphs[i]), topts);
+    if (!s.ok()) {
+      std::fprintf(stderr, "tenant %s: %s\n", ids.back().c_str(),
+                   s.ToString().c_str());
+      return 1;
+    }
   }
+  std::printf("serve: %zu tenant%s, %zu workers, queue=%zu, cache=%zu "
+              "entries%s, quota=%zu%s\n",
+              num_tenants, num_tenants == 1 ? "" : "s", router.num_workers(),
+              options.queue_capacity, topts.plan_cache_capacity,
+              topts.plan_cache_capacity == 0 ? " (disabled)" : "",
+              topts.max_queued,
+              options.device_mode ? ", shared device executor" : "");
 
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> client_threads;
-  client_threads.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    client_threads.emplace_back([&, c] {
-      Rng rng(0xC11E57 + c);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const QueryGraph& q = (*queries)[rng.Uniform(queries->size())];
-        RequestOptions ropts;
-        ropts.store_limit = store;
-        auto id = svc.Submit(q, ropts);
-        if (!id.ok()) continue;  // queue full: admission control at work
-        svc.Wait(*id);
-      }
-    });
-  }
-  // Optional writer: publish a new snapshot every --swap-every-ms, cycling
-  // the --update delta files or applying random edge churn. A failed swap
-  // fails the whole run — a writer that silently stopped would freeze the
-  // snapshot while the replay keeps reporting success.
-  std::thread writer;
-  std::atomic<bool> writer_failed{false};
-  if (swap_every_ms > 0.0) {
-    writer = std::thread([&] {
-      Rng rng(0xD317A);
-      std::size_t next_delta = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        // Sliced sleep so a long interval doesn't delay shutdown.
-        Timer interval;
-        while (!stop.load(std::memory_order_relaxed) &&
-               interval.ElapsedSeconds() * 1e3 < swap_every_ms) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        if (stop.load(std::memory_order_relaxed)) break;
-        GraphDelta delta;
-        if (!deltas->empty()) {
-          delta = (*deltas)[next_delta++ % deltas->size()];
-        } else {
-          delta = RandomChurnDelta(*svc.snapshot().graph, churn, rng);
-        }
-        auto epoch = svc.ApplyDelta(delta);
-        if (!epoch.ok()) {
-          std::fprintf(stderr, "swap: %s\n", epoch.status().ToString().c_str());
-          writer_failed.store(true);
-          break;
-        }
-      }
-    });
-  }
-
-  Timer wall;
-  while (wall.ElapsedSeconds() < duration) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  stop.store(true);
-  for (auto& t : client_threads) t.join();
-  if (writer.joinable()) writer.join();
-  if (sampler != nullptr) sampler->Stop();
-
-  const auto stats = svc.stats();
-  const double elapsed = wall.ElapsedSeconds();
-  std::printf("\n--- %.1fs replay, %zu client thread%s ---\n", elapsed, clients,
-              clients == 1 ? "" : "s");
-  std::printf("throughput:  %.1f queries/sec\n",
-              static_cast<double>(stats.completed) / elapsed);
-  std::printf("latency:     p50=%.3fms p99=%.3fms mean=%.3fms max=%.3fms\n",
-              stats.latency.P50() * 1e3, stats.latency.P99() * 1e3,
-              stats.latency.mean_seconds() * 1e3, stats.latency.max_seconds() * 1e3);
-  std::printf("requests:    submitted=%llu completed=%llu failed=%llu\n",
-              static_cast<unsigned long long>(stats.submitted),
-              static_cast<unsigned long long>(stats.completed),
-              static_cast<unsigned long long>(stats.failed));
-  std::printf("rejected:    queue_full=%llu deadline=%llu\n",
-              static_cast<unsigned long long>(stats.rejected_queue_full),
-              static_cast<unsigned long long>(stats.rejected_deadline));
-  std::printf("plan cache:  hit_rate=%.1f%% entries=%zu image=%.1fKiB "
-              "evictions=%llu invalidations=%llu\n",
-              stats.cache.HitRate() * 100.0, stats.cache.entries,
-              static_cast<double>(stats.cache.bytes_in_use) / 1024.0,
-              static_cast<unsigned long long>(stats.cache.evictions),
-              static_cast<unsigned long long>(stats.cache.invalidations));
-  std::printf("snapshots:   epoch=%llu swaps=%llu\n",
-              static_cast<unsigned long long>(stats.epoch),
-              static_cast<unsigned long long>(stats.graph_swaps));
-  if (stats.device_mode) {
-    std::printf("device:      %s\n", stats.device.Summary().c_str());
-  }
-  if (int rc = WriteObsOutputs(obs_cfg, registry, sampler.get(),
-                               svc.recent_traces(), &svc);
-      rc != 0) {
-    return rc;
-  }
-  if (writer_failed.load()) {
-    std::fprintf(stderr, "error: snapshot writer stopped early (see above)\n");
+  auto admin = StartAdminServer(*flags, &router, &registry, flags_echo);
+  if (!admin.ok()) {
+    std::fprintf(stderr, "admin: %s\n", admin.status().ToString().c_str());
     return 1;
   }
-  return 0;
+  if (flags->Has("listen")) {
+    return RunListen(&router, *flags, obs_cfg, &registry,
+                     [&router] { return router.recent_traces(); });
+  }
+  if (flags->Has("once")) {
+    return RunOnce(router, ids.front(), *flags, *queries, *deltas, store,
+                   obs_cfg, &registry);
+  }
+  return RunReplay(router, ids, *flags, *queries, *deltas, churn, store, zipf_s,
+                   obs_cfg, &registry);
 }
 
 }  // namespace
