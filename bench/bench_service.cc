@@ -16,19 +16,24 @@
 // binary (no google-benchmark): the quantity under test is sustained service
 // throughput, not per-call time.
 //
-// --profile-hz HZ adds a fourth phase repeating cache-on with the stage
-// sampling profiler (src/obs/profiler.h) running at HZ: the qps delta vs the
-// plain cache-on phase is reported as profiler_overhead_pct (CI gates it
-// < 3%). --profile-out writes that phase's collapsed-stack profile and
-// --chrome-trace its trace-event timeline.
+// --profile-hz HZ adds an A/B of cache-on without and with the stage
+// sampling profiler (src/obs/profiler.h) running at HZ: the median per-pair
+// qps delta is reported as profiler_overhead_pct (CI gates it < 3%).
+// --profile-out writes the profiled runs' collapsed-stack profile and
+// --chrome-trace the last profiled run's trace-event timeline.
 //
-// Two further phases A/B the SIMD kernel layer (src/simd/) end to end:
-// cache off + cpu_share_delta=0.9, so every request rebuilds its CST and
-// routes ~90% of partition work through MatchCstOnCpu, first with the scalar
-// kernels forced and then with the best available level (or the one forced
-// via --simd=scalar|swar|avx2|neon). The ratio is reported as simd_speedup
-// (CI gates >= 1.0x), and per-query match counts are verified identical
-// across every available level before the phases run.
+// A second A/B covers the SIMD kernel layer (src/simd/) end to end: cache
+// off + cpu_share_delta=0.9, so every request rebuilds its CST and routes
+// ~90% of partition work through MatchCstOnCpu, with the scalar kernels
+// forced vs the best available level (or the one forced via
+// --simd=scalar|swar|avx2|neon). The median per-pair ratio is reported as
+// simd_speedup (CI gates >= 1.0x), and per-query match counts are verified
+// identical across every available level before the phases run.
+//
+// Both A/Bs run as kPairs interleaved pairs of duration / kPairs per side,
+// alternating which side runs first, and gate the median pair: a single
+// back-to-back A/B on a shared host drifts by more than the percent-level
+// effects under test.
 
 #include <algorithm>
 #include <atomic>
@@ -147,6 +152,45 @@ std::vector<std::uint64_t> CountMatches(const Graph& graph,
   return counts;
 }
 
+constexpr int kPairs = 5;
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+// Runs `a` and `b` as kPairs interleaved pairs (a first in even pairs, b
+// first in odd ones), folds each side's phases into *a_total / *b_total
+// (mean qps, worst p50/p99, summed counts) and returns the median over the
+// pairs of ratio(a, b).
+template <typename PhaseFn, typename RatioFn>
+double MedianOfPairs(PhaseFn a, PhaseFn b, RatioFn ratio, PhaseResult* a_total,
+                     PhaseResult* b_total) {
+  const auto add = [](PhaseResult* acc, const PhaseResult& r) {
+    acc->qps += r.qps / kPairs;
+    acc->p50_ms = std::max(acc->p50_ms, r.p50_ms);
+    acc->p99_ms = std::max(acc->p99_ms, r.p99_ms);
+    acc->hit_rate += r.hit_rate / kPairs;
+    acc->completed += r.completed;
+    acc->rejected += r.rejected;
+  };
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    PhaseResult ra, rb;
+    if (pair % 2 == 0) {
+      ra = a();
+      rb = b();
+    } else {
+      rb = b();
+      ra = a();
+    }
+    add(a_total, ra);
+    add(b_total, rb);
+    ratios.push_back(ratio(ra, rb));
+  }
+  return Median(std::move(ratios));
+}
+
 int Run(int argc, char** argv) {
   auto flags = tools::FlagParser::Parse(
       argc, argv,
@@ -245,52 +289,52 @@ int Run(int argc, char** argv) {
     }
   }
   // CPU-mode throughput: cache off (BuildCst per request) and 90% of
-  // partition work routed to MatchCstOnCpu. The two levels run interleaved
-  // (scalar, best, scalar, best) in half-duration rounds so slow drift on a
-  // shared box — CPU throttling, a noisy neighbor — hits both sides equally
-  // instead of biasing whichever phase ran second.
+  // partition work routed to MatchCstOnCpu, scalar vs the best level.
   constexpr double kCpuShare = 0.9;
-  constexpr int kSimdRounds = 2;
-  PhaseResult simd_scalar, simd_best;
-  for (int round = 0; round < kSimdRounds; ++round) {
-    simd::SetActive(simd::Level::kScalar);
-    const PhaseResult rs =
-        RunPhase(*graph, mix, /*cache_capacity=*/0, workers, clients,
-                 duration / kSimdRounds, deadline_ms / 1e3, &registry,
-                 /*tracing=*/true, nullptr, nullptr, kCpuShare);
-    simd::SetActive(simd_level);
-    const PhaseResult rb =
-        RunPhase(*graph, mix, /*cache_capacity=*/0, workers, clients,
-                 duration / kSimdRounds, deadline_ms / 1e3, &registry,
-                 /*tracing=*/true, nullptr, nullptr, kCpuShare);
-    const auto add = [](PhaseResult* acc, const PhaseResult& r) {
-      acc->qps += r.qps / kSimdRounds;
-      acc->p50_ms = std::max(acc->p50_ms, r.p50_ms);
-      acc->p99_ms = std::max(acc->p99_ms, r.p99_ms);
-      acc->completed += r.completed;
-      acc->rejected += r.rejected;
+  const double pair_seconds = duration / kPairs;
+  const auto simd_phase = [&](simd::Level level) {
+    return [&, level] {
+      simd::SetActive(level);
+      return RunPhase(*graph, mix, /*cache_capacity=*/0, workers, clients,
+                      pair_seconds, deadline_ms / 1e3, &registry,
+                      /*tracing=*/true, nullptr, nullptr, kCpuShare);
     };
-    add(&simd_scalar, rs);
-    add(&simd_best, rb);
-  }
-  const double simd_speedup =
-      simd_scalar.qps > 0 ? simd_best.qps / simd_scalar.qps : 0.0;
+  };
+  PhaseResult simd_scalar, simd_best;
+  const double simd_speedup = MedianOfPairs(
+      simd_phase(simd::Level::kScalar), simd_phase(simd_level),
+      [](const PhaseResult& scalar, const PhaseResult& best) {
+        return scalar.qps > 0 ? best.qps / scalar.qps : 0.0;
+      },
+      &simd_scalar, &simd_best);
+  simd::SetActive(simd_level);
 
-  // Profile phase: cache-on repeated with the stage sampler running. The
-  // A/B against the plain cache-on phase is the profiler's qps overhead.
-  PhaseResult prof;
+  // Profile A/B: cache-on without and with the stage sampler running; the
+  // per-pair qps delta is the profiler's overhead.
+  PhaseResult plain, prof;
   double profiler_overhead_pct = 0.0;
   std::vector<std::shared_ptr<const obs::CompletedTrace>> prof_traces;
   std::vector<obs::InstantEvent> prof_events;
   if (profile_hz > 0.0) {
     obs::Profiler::Default()->BindMetrics(&registry);
-    obs::Profiler::Default()->Start(profile_hz);
-    prof = RunPhase(*graph, mix, /*cache_capacity=*/64, workers, clients,
-                    duration, deadline_ms / 1e3, &registry, /*tracing=*/true,
-                    &prof_traces, &prof_events);
-    obs::Profiler::Default()->Stop();
-    profiler_overhead_pct =
-        on.qps > 0 ? (on.qps - prof.qps) / on.qps * 100.0 : 0.0;
+    const auto cache_on_phase = [&](bool profiled) {
+      return [&, profiled] {
+        if (profiled) obs::Profiler::Default()->Start(profile_hz);
+        const PhaseResult r =
+            RunPhase(*graph, mix, /*cache_capacity=*/64, workers, clients,
+                     pair_seconds, deadline_ms / 1e3, &registry,
+                     /*tracing=*/true, profiled ? &prof_traces : nullptr,
+                     profiled ? &prof_events : nullptr);
+        if (profiled) obs::Profiler::Default()->Stop();
+        return r;
+      };
+    };
+    profiler_overhead_pct = MedianOfPairs(
+        cache_on_phase(false), cache_on_phase(true),
+        [](const PhaseResult& off, const PhaseResult& on) {
+          return off.qps > 0 ? (off.qps - on.qps) / off.qps * 100.0 : 0.0;
+        },
+        &plain, &prof);
   }
 
   std::printf("%-12s %12s %10s %10s %10s %12s %10s\n", "phase", "queries/sec",
@@ -309,21 +353,25 @@ int Run(int argc, char** argv) {
                 simd::LevelName(simd_level));
   row("simd-scalar", simd_scalar);
   row(simd_row, simd_best);
-  if (profile_hz > 0.0) row("profile-on", prof);
+  if (profile_hz > 0.0) {
+    row("profile-off", plain);
+    row("profile-on", prof);
+  }
   std::printf("\ncache speedup: %.2fx queries/sec (%.1f -> %.1f)\n",
               off.qps > 0 ? on.qps / off.qps : 0.0, off.qps, on.qps);
-  std::printf("simd speedup (%s vs scalar, cpu-mode): %.2fx (%.1f -> %.1f), "
-              "counts %s\n",
-              simd::LevelName(simd_level), simd_speedup, simd_scalar.qps,
-              simd_best.qps, simd_counts_identical ? "identical" : "DIVERGED");
+  std::printf("simd speedup (%s vs scalar, cpu-mode): %.2fx median of %d "
+              "pairs (mean qps %.1f -> %.1f), counts %s\n",
+              simd::LevelName(simd_level), simd_speedup, kPairs,
+              simd_scalar.qps, simd_best.qps,
+              simd_counts_identical ? "identical" : "DIVERGED");
   const double obs_overhead_pct =
       obs_off.qps > 0 ? (obs_off.qps - on.qps) / obs_off.qps * 100.0 : 0.0;
   std::printf("obs overhead: %.2f%% qps (obs-on %.1f vs obs-off %.1f)\n",
               obs_overhead_pct, on.qps, obs_off.qps);
   if (profile_hz > 0.0) {
-    std::printf("profiler overhead: %.2f%% qps at %g Hz (profile-on %.1f vs "
-                "cache-on %.1f)\n",
-                profiler_overhead_pct, profile_hz, prof.qps, on.qps);
+    std::printf("profiler overhead: %.2f%% qps at %g Hz, median of %d pairs "
+                "(mean qps profile-on %.1f vs off %.1f)\n",
+                profiler_overhead_pct, profile_hz, kPairs, prof.qps, plain.qps);
   }
 
   if (!profile_out.empty()) {
@@ -369,9 +417,13 @@ int Run(int argc, char** argv) {
     phase("obs_off", obs_off, /*with_hit_rate=*/true);
     phase("simd_scalar", simd_scalar, /*with_hit_rate=*/false);
     phase("simd_best", simd_best, /*with_hit_rate=*/false);
-    if (profile_hz > 0.0) phase("profile_on", prof, /*with_hit_rate=*/true);
+    if (profile_hz > 0.0) {
+      phase("profile_off", plain, /*with_hit_rate=*/true);
+      phase("profile_on", prof, /*with_hit_rate=*/true);
+    }
     w.Field("cache_speedup", off.qps > 0 ? on.qps / off.qps : 0.0);
     w.Field("simd_best_level", simd::LevelName(simd_level));
+    w.Field("ab_pairs", static_cast<std::uint64_t>(kPairs));
     w.Field("simd_speedup", simd_speedup);
     w.Field("simd_counts_identical", simd_counts_identical);
     w.Field("obs_overhead_pct", obs_overhead_pct);

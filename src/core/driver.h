@@ -70,9 +70,10 @@ struct FastRunOptions {
   const CancelToken* cancel = nullptr;
 
   // Optional per-request span recorder (obs/trace.h). RunFastWithCst records
-  // a wall `match` span over partition + matching + CPU share, plus the
-  // simulated `dma`/`kernel` durations from the device model. The service
-  // layers record the surrounding spans (queue, snapshot, cst_build, remap).
+  // a wall `match` span over partition + matching + CPU share (`device_wait`
+  // then `reassembly` on a shared card), plus the simulated `dma`/`kernel`
+  // durations from the device model. The service layers record the
+  // surrounding spans (queue, snapshot, cst_build, remap).
   // Non-owning; single-threaded like the run itself. nullptr = no tracing.
   obs::RequestTrace* trace = nullptr;
 };
@@ -110,13 +111,52 @@ struct FastRunResult {
   std::vector<Embedding> sample_embeddings;
 };
 
-// Runs the full FAST pipeline for query q over data graph g.
+// Device-side totals of one run's partitions, reaped from a Card.
+struct CardTotals {
+  KernelCounters counters;
+  std::uint64_t embeddings = 0;
+  std::size_t partitions = 0;
+  double kernel_seconds = 0;  // simulated, on the run's critical path
+  double pcie_seconds = 0;
+  std::uint64_t dma_bytes = 0;  // see FastRunResult::dma_bytes
+};
+
+// Where the pipeline matches the partitions Alg. 2 emits (steps (3)-(4)).
+// RunFastWithCst opens a card, submits every partition in emission order and
+// finishes it exactly once, also after a failed submit. The cards: the
+// private inline card (the default; each partition matches on the calling
+// thread and pays its own PCIe transfer), RunMultiFpga's N of them, and
+// device::DeviceSession on the shared device executor.
+class Card {
+ public:
+  Card() = default;
+  Card(const Card&) = delete;
+  Card& operator=(const Card&) = delete;
+  virtual ~Card() = default;
+
+  // Partitions match under `order`, report to `collector` and probe
+  // `cancel` (nullable); both are borrowed until Finish returns.
+  virtual void Open(const MatchingOrder& order, ResultCollector* collector,
+                    const CancelToken* cancel) = 0;
+  // Matches, or queues for matching, one partition.
+  virtual Status Submit(Cst part) = 0;
+  // Blocks until every submitted partition has matched; the first failure
+  // (DEADLINE_EXCEEDED, ...) wins.
+  virtual StatusOr<CardTotals> Finish() = 0;
+  // A card shared across requests: the run records a wall `device_wait`
+  // span and then `reassembly`, instead of one wall `match` span.
+  virtual bool shared() const { return false; }
+};
+
+// Runs the full FAST pipeline for query q over data graph g, matching the
+// partitions on `card` (null = a private inline card).
 //
 // Reentrancy: RunFast keeps all state on the stack (no globals, no shared
 // mutable caches), so concurrent calls over the same immutable Graph are
 // safe. The service layer (src/service/) relies on this.
 StatusOr<FastRunResult> RunFast(const QueryGraph& q, const Graph& g,
-                                const FastRunOptions& options = {});
+                                const FastRunOptions& options = {},
+                                Card* card = nullptr);
 
 // Runs steps (2)-(6) of the pipeline from a prebuilt CST and matching order,
 // skipping order computation and CST construction. This is the cache-hit
@@ -126,22 +166,22 @@ StatusOr<FastRunResult> RunFast(const QueryGraph& q, const Graph& g,
 // measured construction time, or 0 when the CST came from a cache).
 // `options.explicit_order` and `options.order_policy` are ignored.
 //
-// This call simulates a device PRIVATE to the request: partitions match
-// inline on the calling thread and every call pays its own PCIe transfers.
-// device/device_executor.h's RunCstOnDevice is the shared-device sibling —
-// the same steps, with partitions batched onto one executor across
-// concurrent requests.
+// The one place the pipeline partitions (Alg. 2), keeps the δ-share on the
+// host (Alg. 3, after the card finishes) and composes the total. FAST-DRAM
+// skips Alg. 2 and submits the whole CST (partition_seconds stays 0).
+// `card` null simulates a device PRIVATE to the request, matching inline.
 StatusOr<FastRunResult> RunFastWithCst(const Cst& cst, const MatchingOrder& order,
                                        const FastRunOptions& options = {},
-                                       double build_seconds = 0.0);
+                                       double build_seconds = 0.0,
+                                       Card* card = nullptr);
 
 // Effective partition thresholds for a device (δ_S, δ_D derivation).
 PartitionConfig DerivePartitionConfig(const FpgaConfig& fpga, std::size_t query_size,
                                       const PartitionConfig& requested);
 
-// Multi-FPGA extension (Sec. VII-E): partitions are assigned to the device
-// with the minimum accumulated estimated workload; the makespan composes with
-// the shared host-side build/partition phases.
+// Multi-FPGA extension (Sec. VII-E): RunFast over N private cards, each
+// partition going to the card with the minimum accumulated estimated
+// workload. The makespan is RunFast's total over the busiest card.
 struct MultiFpgaResult {
   std::uint64_t embeddings = 0;
   std::size_t num_partitions = 0;

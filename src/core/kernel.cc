@@ -211,15 +211,22 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
   return result;
 }
 
-double SimulatedKernelSeconds(const FpgaConfig& config, FastVariant variant,
-                              const KernelRunResult& run, std::size_t cst_words,
-                              std::size_t query_size) {
-  double cycles = KernelCycles(config, variant, run.counters) +
-                  ResultFlushCycles(config, run.embeddings, query_size);
+double PartitionKernelSeconds(const FpgaConfig& config, FastVariant variant,
+                              double matching_cycles, std::uint64_t embeddings,
+                              std::size_t cst_words, std::size_t query_size) {
+  double cycles = matching_cycles + ResultFlushCycles(config, embeddings, query_size);
   if (variant != FastVariant::kDram) {
     cycles += CstLoadCycles(config, cst_words);
   }
   return config.CyclesToSeconds(cycles);
+}
+
+double SimulatedKernelSeconds(const FpgaConfig& config, FastVariant variant,
+                              const KernelRunResult& run, std::size_t cst_words,
+                              std::size_t query_size) {
+  return PartitionKernelSeconds(config, variant,
+                                KernelCycles(config, variant, run.counters),
+                                run.embeddings, cst_words, query_size);
 }
 
 }  // namespace fast

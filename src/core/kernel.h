@@ -48,8 +48,14 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
                                     std::vector<RoundWork>* round_trace = nullptr,
                                     const CancelToken* cancel = nullptr);
 
-// Simulated kernel seconds for one partition under `variant`: CST DMA load
-// (absent for FAST-DRAM) + matching cycles (Eqs. 1-4) + result flush.
+// Simulated kernel seconds for one partition under `variant` from its
+// matching-phase cycles (closed-form inline, cycle-stepped on the shared
+// device): matching + result flush + CST DMA load (absent for FAST-DRAM).
+double PartitionKernelSeconds(const FpgaConfig& config, FastVariant variant,
+                              double matching_cycles, std::uint64_t embeddings,
+                              std::size_t cst_words, std::size_t query_size);
+
+// PartitionKernelSeconds with the closed-form matching cycles (Eqs. 1-4).
 double SimulatedKernelSeconds(const FpgaConfig& config, FastVariant variant,
                               const KernelRunResult& run, std::size_t cst_words,
                               std::size_t query_size);

@@ -49,6 +49,8 @@ struct PartitionStats {
   std::size_t num_oversized = 0;
   // CSTs the host kept via the FAST-SHARE offload path.
   std::size_t num_cpu_offloaded = 0;
+
+  bool operator==(const PartitionStats&) const = default;
 };
 
 // Streams every satisfying partition to `sink` in deterministic order, as

@@ -12,7 +12,6 @@
 
 #include "core/kernel.h"
 #include "cst/cst_serialize.h"
-#include "cst/partition.h"
 #include "fpga/pipeline_sim.h"
 #include "obs/profiler.h"
 #include "util/logging.h"
@@ -26,8 +25,8 @@ namespace {
 constexpr std::size_t kRecentRoundsCapacity = 2048;
 }  // namespace
 
-// One query session: identity for fairness/dedup, the per-query sinks the
-// device thread feeds, and the completion latch FinishQuery waits on.
+// One session's state: identity for fairness/dedup, the sinks the device
+// thread feeds, and the completion latch Finish waits on.
 struct DeviceQuery {
   std::string queue_key;
   std::uint64_t epoch = 0;
@@ -40,7 +39,12 @@ struct DeviceQuery {
   std::mutex mu;
   std::condition_variable cv;
   std::size_t outstanding = 0;  // enqueued, not yet finalized
-  DeviceQueryResult result;
+  Status status = Status::OK();  // first item failure (DEADLINE_EXCEEDED, ...)
+  // pcie_seconds/dma_bytes: contributed unique bytes plus an even slice of
+  // each round's fixed transaction cost (dedup-aware attribution).
+  CardTotals totals;
+  std::uint64_t first_round = 0;
+  std::uint64_t last_round = 0;
 };
 
 // A CST partition awaiting its device round.
@@ -119,22 +123,8 @@ void DeviceExecutor::DropQueue(const std::string& key) {
   }
 }
 
-std::shared_ptr<DeviceQuery> DeviceExecutor::BeginQuery(
-    const std::string& queue_key, std::uint64_t epoch,
-    const std::string& plan_key, const MatchingOrder& order,
-    ResultCollector* collector, const CancelToken* cancel) {
-  auto query = std::make_shared<DeviceQuery>();
-  query->queue_key = queue_key;
-  query->epoch = epoch;
-  query->plan_key = plan_key;
-  query->order = order;
-  query->collector = collector;
-  query->cancel = cancel;
-  return query;
-}
-
-Status DeviceExecutor::EnqueuePartition(
-    const std::shared_ptr<DeviceQuery>& query, Cst part) {
+Status DeviceExecutor::Enqueue(const std::shared_ptr<DeviceQuery>& query,
+                               Cst part) {
   WorkItem item;
   item.query = query;
   item.wire_bytes = CstWireBytes(part);
@@ -168,21 +158,6 @@ Status DeviceExecutor::EnqueuePartition(
   }
   cv_.notify_one();
   return Status::OK();
-}
-
-DeviceQueryResult DeviceExecutor::FinishQuery(
-    const std::shared_ptr<DeviceQuery>& query) {
-  DeviceQueryResult result;
-  {
-    std::unique_lock<std::mutex> lock(query->mu);
-    query->cv.wait(lock, [&] { return query->outstanding == 0; });
-    result = std::move(query->result);
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.queries;
-  }
-  return result;
 }
 
 void DeviceExecutor::Shutdown() {
@@ -265,7 +240,7 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
     bool query_ok;
     {
       std::lock_guard<std::mutex> qlock(q.mu);
-      query_ok = q.result.status.ok();
+      query_ok = q.status.ok();
     }
     if (query_ok && (q.cancel == nullptr || !q.cancel->Cancelled())) {
       live[i] = true;
@@ -310,7 +285,7 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
 
   // --- Matching phase: items run back to back on the one simulated card.
   // Outcomes are staged locally so the round's stats publish BEFORE any
-  // query is notified: a caller returning from FinishQuery must already see
+  // query is notified: a caller returning from Finish must already see
   // its rounds in stats(). ---
   struct ItemOutcome {
     Status status = Status::OK();
@@ -354,16 +329,12 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
         if (!sim.ok()) {
           item_status = sim.status();
         } else {
-          double cycles = sim->cycles +
-                          ResultFlushCycles(fpga, run.embeddings,
+          // The image sits in card DRAM after the shared transfer; each
+          // matching pass still DMAs it into BRAM (dedup shares the PCIe
+          // hop, not the BRAM load), which the price includes.
+          kernel_s = PartitionKernelSeconds(fpga, options_.variant, sim->cycles,
+                                            run.embeddings, item.cst.SizeWords(),
                                             item.cst.NumQueryVertices());
-          if (options_.variant != FastVariant::kDram) {
-            // The image sits in card DRAM after the shared transfer; each
-            // matching pass still DMAs it into BRAM (dedup shares the PCIe
-            // hop, not the BRAM load).
-            cycles += CstLoadCycles(fpga, item.cst.SizeWords());
-          }
-          kernel_s = fpga.CyclesToSeconds(cycles);
         }
       }
     }
@@ -452,17 +423,17 @@ void DeviceExecutor::RunRound(std::vector<WorkItem> round) {
       if (!out.status.ok()) {
         // First failure wins; an already-failed query's later items were
         // skipped above and keep the original status.
-        if (q.result.status.ok()) q.result.status = std::move(out.status);
+        if (q.status.ok()) q.status = std::move(out.status);
       } else {
-        q.result.counters += out.run.counters;
-        q.result.embeddings += out.run.embeddings;
-        q.result.kernel_seconds += out.kernel_seconds;
-        q.result.pcie_seconds += pcie_share;
-        q.result.dma_bytes += contributed[i] +
+        q.totals.counters += out.run.counters;
+        q.totals.embeddings += out.run.embeddings;
+        q.totals.kernel_seconds += out.kernel_seconds;
+        q.totals.pcie_seconds += pcie_share;
+        q.totals.dma_bytes += contributed[i] +
                               static_cast<std::uint64_t>(overhead_share);
-        ++q.result.items;
-        if (q.result.first_round == 0) q.result.first_round = round_id;
-        q.result.last_round = round_id;
+        ++q.totals.partitions;
+        if (q.first_round == 0) q.first_round = round_id;
+        q.last_round = round_id;
       }
       --q.outstanding;
       if (q.outstanding == 0) q.cv.notify_all();
@@ -485,71 +456,46 @@ std::vector<obs::TimelineRound> DeviceExecutor::recent_rounds() const {
   return {recent_rounds_.begin(), recent_rounds_.end()};
 }
 
-StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
-                                       const MatchingOrder& order,
-                                       const FastRunOptions& options,
-                                       const std::string& queue_key,
-                                       std::uint64_t epoch,
-                                       const std::string& plan_key,
-                                       double build_seconds) {
-  FAST_RETURN_IF_ERROR(device.options().fpga.Validate());
-  const QueryGraph& q = cst.layout().query();
-  FastRunResult result;
-  result.order = order;
-  result.build_seconds = build_seconds;
+DeviceSession::DeviceSession(DeviceExecutor& device, std::string queue_key,
+                             std::uint64_t epoch, std::string plan_key)
+    : device_(device), query_(std::make_shared<DeviceQuery>()) {
+  query_->queue_key = std::move(queue_key);
+  query_->epoch = epoch;
+  query_->plan_key = std::move(plan_key);
+}
 
-  // The collector lives on this thread's stack; only the device thread
-  // touches it between here and FinishQuery, which synchronizes the handoff
-  // back.
-  ResultCollector collector(options.store_limit);
-  if (options.embedding_callback) collector.SetCallback(options.embedding_callback);
+DeviceSession::~DeviceSession() {
+  // The device thread borrows the collector and cancel token until the
+  // session's last item is finalized.
+  std::unique_lock<std::mutex> lock(query_->mu);
+  query_->cv.wait(lock, [&] { return query_->outstanding == 0; });
+}
 
-  const PartitionConfig pconfig = DerivePartitionConfig(
-      device.options().fpga, q.NumVertices(), options.partition);
-  std::shared_ptr<DeviceQuery> session = device.BeginQuery(
-      queue_key, epoch, plan_key, order, &collector, options.cancel);
+void DeviceSession::Open(const MatchingOrder& order, ResultCollector* collector,
+                         const CancelToken* cancel) {
+  query_->order = order;
+  query_->collector = collector;
+  query_->cancel = cancel;
+}
 
-  // Partitions stream to the device as Alg. 2 emits them, so matching
-  // overlaps the remainder of partitioning exactly as in the driver path.
-  // The whole submit-and-wait is this request's wall `device_wait` span —
-  // the time the worker thread spent blocked on shared device rounds.
-  if (options.trace != nullptr) options.trace->Begin(obs::Span::kDeviceWait);
-  FAST_PROF_STAGE("device_wait");
-  Timer partition_timer;
-  const Status partition_status = PartitionCst(
-      cst, order, pconfig,
-      [&](Cst part) -> Status {
-        return device.EnqueuePartition(session, std::move(part));
-      },
-      &result.partition_stats);
-  result.partition_seconds = partition_timer.ElapsedSeconds();
+Status DeviceSession::Submit(Cst part) {
+  return device_.Enqueue(query_, std::move(part));
+}
 
-  // Reap before propagating any partitioning error: items already queued
-  // must be accounted for even when a later enqueue failed.
-  DeviceQueryResult reaped = device.FinishQuery(session);
-  if (options.trace != nullptr) {
-    options.trace->End();
-    // The simulated device-side attribution of that wait: this query's
-    // amortized PCIe share and its items' kernel occupancy.
-    options.trace->RecordSimulated(obs::Span::kDma, reaped.pcie_seconds);
-    options.trace->RecordSimulated(obs::Span::kKernel, reaped.kernel_seconds);
+StatusOr<CardTotals> DeviceSession::Finish() {
+  std::unique_lock<std::mutex> lock(query_->mu);
+  query_->cv.wait(lock, [&] { return query_->outstanding == 0; });
+  {
+    std::lock_guard<std::mutex> stats_lock(device_.stats_mu_);
+    ++device_.stats_.queries;
   }
-  FAST_RETURN_IF_ERROR(partition_status);
-  FAST_RETURN_IF_ERROR(reaped.status);
+  if (!query_->status.ok()) return query_->status;
+  return query_->totals;
+}
 
-  obs::ScopedSpan reassembly_span(options.trace, obs::Span::kReassembly);
-  result.counters = reaped.counters;
-  result.embeddings = reaped.embeddings;
-  result.kernel_seconds = reaped.kernel_seconds;
-  result.pcie_seconds = reaped.pcie_seconds;
-  result.dma_bytes = reaped.dma_bytes;
-  result.fpga_partitions = reaped.items;
-  result.total_seconds =
-      result.build_seconds +
-      std::max(result.partition_seconds,
-               result.pcie_seconds + result.kernel_seconds);
-  result.sample_embeddings = collector.stored();
-  return result;
+std::pair<std::uint64_t, std::uint64_t> DeviceSession::rounds() const {
+  std::lock_guard<std::mutex> lock(query_->mu);
+  return {query_->first_round, query_->last_round};
 }
 
 }  // namespace fast::device

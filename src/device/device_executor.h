@@ -4,13 +4,13 @@
 // Shared device executor: ONE simulated FPGA serving partition work from many
 // in-flight queries — across tenants — through a multi-queue front.
 //
-//   workers ── BeginQuery ──▶ per-tenant item queues (one per queue key)
-//      │       EnqueuePartition        │
-//      │   (CST partitions, each       │  deficit-weighted round robin
-//      │    pinned to its request's    ▼
-//      │    captured epoch)      batch scheduler: coalesce up to max_batch
-//      │                         items from MANY queries into one device
-//      │                         round (wait batch_window for stragglers)
+//   workers ── DeviceSession ──▶ per-tenant item queues (one per queue key)
+//      │       (a core/driver.h     │
+//      │        Card: CST           │  deficit-weighted round robin
+//      │        partitions, each    ▼
+//      │        pinned to its  batch scheduler: coalesce up to max_batch
+//      │        request's      items from MANY queries into one device
+//      │        captured epoch) round (wait batch_window for stragglers)
 //      │                               │
 //      │                   ┌───────────┴────────────┐
 //      │                   │ round: ONE shared PCIe │
@@ -19,19 +19,21 @@
 //      │                   │ then match each item   │
 //      │                   │ (kernel + cycle model) │
 //      │                   └───────────┬────────────┘
-//      └── FinishQuery ◀── per-query reassembly (counters, embeddings,
-//                          simulated kernel/PCIe seconds) ◀──┘
+//      └── Finish ◀── per-query reassembly (counters, embeddings,
+//                     simulated kernel/PCIe seconds) ◀──┘
 //
-// The per-worker serving path (service/graph_state.h) simulates a *private*
-// device per request: every query pays its own PCIe transaction and the card
-// idles between requests. This executor is the FAST co-design applied across
-// requests: CST partitions from concurrent queries — and concurrent tenants —
-// are batched into device rounds, so the fixed per-DMA-transaction cost
+// A request runs core/driver.h's RunFastWithCst on a DeviceSession: the same
+// pipeline as on the private inline card, which simulates a device per
+// request (every query pays its own PCIe transaction and the card idles
+// between requests). This executor is the FAST co-design applied across
+// requests: CST partitions from concurrent queries — and concurrent tenants
+// — are batched into device rounds, so the fixed per-DMA-transaction cost
 // (descriptor setup, doorbell, completion — modeled as
 // `transfer_overhead_bytes` of PCIe-equivalent bytes) is paid once per ROUND
-// instead of once per partition, and identical partition images (same tenant,
-// epoch, plan and partition index — e.g. two in-flight requests for the same
-// canonical query shape) cross the bus once.
+// instead of once per partition, and identical partition images (same
+// tenant, epoch, plan and partition index — e.g. two in-flight requests for
+// the same canonical query shape) cross the bus once. Matching cycles come
+// from the cycle-stepped pipeline simulation (fpga/pipeline_sim.h).
 //
 // Fairness reuses the deficit-weighted round-robin discipline of
 // tenant::TenantRouter: each queue key (tenant) spends up to `weight` credits
@@ -44,10 +46,10 @@
 // deadline aborts inside a device round exactly like the CPU path.
 //
 // Threading: one device thread (the simulated card) executes rounds
-// sequentially; any number of workers submit concurrently. EnqueuePartition
-// applies back-pressure (blocks) past `max_queued_items`. Shutdown drains all
-// queued items, so FinishQuery never deadlocks; owners must stop submitting
-// workers before shutting the executor down.
+// sequentially; any number of workers submit concurrently. Session submits
+// apply back-pressure (block) past `max_queued_items`. Shutdown drains all
+// queued items, so a session's Finish never deadlocks; owners must stop
+// submitting workers before shutting the executor down.
 
 #include <condition_variable>
 #include <cstdint>
@@ -58,6 +60,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/driver.h"
@@ -88,8 +91,9 @@ struct DeviceOptions {
   // coalescing — the unbatched A/B baseline of bench_batching.
   std::size_t max_batch_items = 8;
 
-  // Back-pressure bound on queued items across all queues; EnqueuePartition
-  // blocks (never rejects — a query's partitions cannot be dropped halfway)
+  // Back-pressure bound on queued items across all queues; a session's
+  // Submit blocks (never rejects — a query's partitions cannot be dropped
+  // halfway)
   // until the device drains below it. 0 = unbounded.
   std::size_t max_queued_items = 4096;
 
@@ -110,7 +114,7 @@ struct DeviceStats {
   std::uint64_t items = 0;             // partitions matched on the device
   std::uint64_t cancelled_items = 0;   // skipped or aborted by a deadline
   std::uint64_t failed_items = 0;      // kernel/pipeline errors (not deadlines)
-  std::uint64_t queries = 0;           // queries fully reaped (FinishQuery)
+  std::uint64_t queries = 0;           // sessions fully reaped (Finish)
   std::uint64_t payload_bytes = 0;     // unique image bytes transferred
   std::uint64_t wire_bytes = 0;        // payload + per-round transaction cost
   std::uint64_t dedup_bytes_saved = 0; // duplicate images that rode free
@@ -133,28 +137,7 @@ struct DeviceStats {
   std::string Summary() const;
 };
 
-// Aggregate outcome of one query's partitions on the device.
-struct DeviceQueryResult {
-  Status status = Status::OK();  // first item failure (DEADLINE_EXCEEDED, ...)
-  KernelCounters counters;
-  std::uint64_t embeddings = 0;
-  std::size_t items = 0;  // partitions matched
-  double kernel_seconds = 0;
-  // This query's amortized share of its rounds' transfer time: contributed
-  // unique bytes plus an even slice of each round's fixed transaction cost.
-  double pcie_seconds = 0;
-  // The byte form of the same attribution (what pcie_seconds was computed
-  // from), for per-tenant DMA accounting. A fully deduplicated query is
-  // charged only its overhead slices.
-  std::uint64_t dma_bytes = 0;
-  // 1-based sequence numbers of the first/last round that matched an item of
-  // this query (0 = none ran). Tests assert fairness on these: a cold
-  // tenant's rounds must not trail a hot tenant's whole backlog.
-  std::uint64_t first_round = 0;
-  std::uint64_t last_round = 0;
-};
-
-// Opaque per-query handle; defined in the .cc.
+// Opaque per-query state shared with the device thread; defined in the .cc.
 struct DeviceQuery;
 
 class DeviceExecutor {
@@ -172,28 +155,6 @@ class DeviceExecutor {
   // Drops `key`'s queue bookkeeping once it is empty (no-op otherwise).
   // Callers drain the tenant's requests first (tenant::TenantRouter does).
   void DropQueue(const std::string& key);
-
-  // Opens a query session. `queue_key` selects the fairness queue (tenant
-  // id); `epoch` and `plan_key` identify the CST image for cross-query
-  // transfer dedup (partitions of the same plan built on the same snapshot
-  // are bit-identical). `collector` and `cancel` are borrowed; the caller
-  // keeps both alive until FinishQuery returns. The collector is only
-  // touched from the device thread until then.
-  std::shared_ptr<DeviceQuery> BeginQuery(const std::string& queue_key,
-                                          std::uint64_t epoch,
-                                          const std::string& plan_key,
-                                          const MatchingOrder& order,
-                                          ResultCollector* collector,
-                                          const CancelToken* cancel);
-
-  // Enqueues one CST partition of `query`. Blocks on back-pressure;
-  // FAILED_PRECONDITION after Shutdown. Call from one thread per query.
-  Status EnqueuePartition(const std::shared_ptr<DeviceQuery>& query, Cst part);
-
-  // Blocks until every enqueued partition of `query` has been matched (or
-  // skipped by cancellation) and returns the aggregate. Call once, after the
-  // last EnqueuePartition.
-  DeviceQueryResult FinishQuery(const std::shared_ptr<DeviceQuery>& query);
 
   // Stops admission, drains every queued item, joins the device thread.
   // Idempotent; also run by the destructor.
@@ -214,6 +175,9 @@ class DeviceExecutor {
   struct WorkItem;
   struct Queue;
 
+  friend class DeviceSession;
+  // DeviceSession::Submit: blocks on back-pressure; fails after Shutdown.
+  Status Enqueue(const std::shared_ptr<DeviceQuery>& query, Cst part);
   void DeviceLoop();
   // Pops the next round under WRR, holding the batch open for the window;
   // empty result = stopping and drained.
@@ -252,22 +216,34 @@ class DeviceExecutor {
   std::thread device_;  // last member: joins before state is destroyed
 };
 
-// Runs steps (2)-(6) of the FAST pipeline (see core/driver.h) with every
-// partition matched on the shared device executor instead of inline on the
-// calling thread: partitions stream into the executor as Alg. 2 emits them,
-// and the call blocks until the device has matched them all. `queue_key`
-// routes fairness; `epoch`/`plan_key` enable transfer dedup. Differences from
-// RunFastWithCst: the device's FpgaConfig/variant replace options.fpga /
-// options.variant, cpu_share_delta is ignored (the device owns all
-// partitions), and the embedding callback runs on the device thread.
-// total_seconds composes as build + max(partition, pcie + kernel).
-StatusOr<FastRunResult> RunCstOnDevice(DeviceExecutor& device, const Cst& cst,
-                                       const MatchingOrder& order,
-                                       const FastRunOptions& options,
-                                       const std::string& queue_key,
-                                       std::uint64_t epoch,
-                                       const std::string& plan_key,
-                                       double build_seconds = 0.0);
+// One query's session on the shared device: the Card (core/driver.h) that
+// RunFastWithCst streams a request's partitions into. `queue_key` selects the
+// fairness queue (tenant id); `epoch` and `plan_key` identify the CST image
+// for cross-query transfer dedup. Items price with the executor's
+// FpgaConfig/variant, and the device thread owns the collector (and runs its
+// callback) between Open and Finish. Submit blocks on back-pressure and fails
+// with FAILED_PRECONDITION after Shutdown. One thread per session.
+class DeviceSession final : public Card {
+ public:
+  DeviceSession(DeviceExecutor& device, std::string queue_key,
+                std::uint64_t epoch, std::string plan_key);
+  ~DeviceSession() override;
+
+  void Open(const MatchingOrder& order, ResultCollector* collector,
+            const CancelToken* cancel) override;
+  Status Submit(Cst part) override;
+  StatusOr<CardTotals> Finish() override;
+  bool shared() const override { return true; }
+
+  // 1-based sequence numbers of the first and last device round that
+  // matched a partition of this session (0 = none ran); read after Finish.
+  // Tests assert fairness on these.
+  std::pair<std::uint64_t, std::uint64_t> rounds() const;
+
+ private:
+  DeviceExecutor& device_;
+  std::shared_ptr<DeviceQuery> query_;
+};
 
 }  // namespace fast::device
 

@@ -49,6 +49,7 @@ struct KernelCounters {
     max_buffer_entries = std::max(max_buffer_entries, other.max_buffer_entries);
     return *this;
   }
+  bool operator==(const KernelCounters&) const = default;
 };
 
 // Matching-phase cycles for one partition under `variant` (Eqs. 1-4).

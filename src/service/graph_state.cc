@@ -157,6 +157,14 @@ void GraphState::Execute(const CanonicalQuery& canonical,
     }
   }
 
+  // Shared-device mode runs the pipeline on a session of the executor; the
+  // canonical key + epoch let same-shape requests share one PCIe transfer.
+  std::optional<device::DeviceSession> session;
+  if (device != nullptr) {
+    session.emplace(*device, options_.device_queue_key, snap.epoch, canonical.key);
+  }
+  Card* card = session.has_value() ? &*session : nullptr;
+
   StatusOr<FastRunResult> r = Status::Internal("unreachable");
   bool ran_from_cache = false;
   if (options_.plan_cache_capacity > 0) {
@@ -188,8 +196,8 @@ void GraphState::Execute(const CanonicalQuery& canonical,
           if (cst.ok()) {
             ran_from_cache = true;
             result->cache_hit = true;
-            r = Dispatch(*cst, plan->order, canonical, snap, run, device,
-                         build_timer.ElapsedSeconds());
+            r = RunFastWithCst(*cst, plan->order, run,
+                               build_timer.ElapsedSeconds(), card);
           }
         }
       } else {
@@ -207,8 +215,8 @@ void GraphState::Execute(const CanonicalQuery& canonical,
         if (cst.ok()) {
           ran_from_cache = true;
           result->cache_hit = true;
-          r = Dispatch(*cst, plan->order, canonical, snap, run, device,
-                       /*build_seconds=*/0.0);
+          r = RunFastWithCst(*cst, plan->order, run, /*build_seconds=*/0.0,
+                             card);
         }
         // A corrupt image falls through to a fresh build below (and its
         // Insert replaces the bad entry) instead of failing every hit.
@@ -216,7 +224,7 @@ void GraphState::Execute(const CanonicalQuery& canonical,
     }
   }
   if (!ran_from_cache) {
-    r = BuildAndRun(canonical, snap, run, device, &result->plan_bytes_charged);
+    r = BuildAndRun(canonical, snap, run, card, &result->plan_bytes_charged);
   }
 
   if (!r.ok()) {
@@ -245,29 +253,9 @@ void GraphState::Execute(const CanonicalQuery& canonical,
   }
 }
 
-StatusOr<FastRunResult> GraphState::Dispatch(const Cst& cst,
-                                             const MatchingOrder& order,
-                                             const CanonicalQuery& canonical,
-                                             const GraphSnapshot& snap,
-                                             const FastRunOptions& run,
-                                             device::DeviceExecutor* device,
-                                             double build_seconds) {
-  if (device != nullptr) {
-    // Shared-device mode: partitions are matched in cross-query batches on
-    // the executor. The canonical key + epoch identify the CST image, so
-    // concurrent requests for the same shape share one PCIe transfer.
-    return device::RunCstOnDevice(*device, cst, order, run,
-                                  options_.device_queue_key, snap.epoch,
-                                  canonical.key, build_seconds);
-  }
-  FAST_PROF_STAGE("match");
-  return RunFastWithCst(cst, order, run, build_seconds);
-}
-
 StatusOr<FastRunResult> GraphState::BuildAndRun(
     const CanonicalQuery& canonical, const GraphSnapshot& snap,
-    const FastRunOptions& run, device::DeviceExecutor* device,
-    std::uint64_t* plan_bytes_charged) {
+    const FastRunOptions& run, Card* card, std::uint64_t* plan_bytes_charged) {
   // Cache miss (or cache disabled): compute the order and build the CST for
   // the canonical query against this request's snapshot, publish the plan
   // under the snapshot's epoch, then run the pipeline from it.
@@ -277,7 +265,7 @@ StatusOr<FastRunResult> GraphState::BuildAndRun(
   // the serialize+insert that publishes the plan; an early error return
   // leaves the span open and RequestTrace::Finish closes it.
   if (run.trace != nullptr) run.trace->Begin(obs::Span::kCstBuild);
-  // Optional so the stage closes before Dispatch (whose own stages must not
+  // Optional so the stage closes before the run (whose own stages must not
   // nest under cst_build); early error returns destroy it too.
   std::optional<obs::StageScope> build_stage;
   build_stage.emplace("cst_build");
@@ -300,7 +288,7 @@ StatusOr<FastRunResult> GraphState::BuildAndRun(
   }
   if (run.trace != nullptr) run.trace->End();
   build_stage.reset();
-  return Dispatch(cst, order, canonical, snap, run, device, build_seconds);
+  return RunFastWithCst(cst, order, run, build_seconds, card);
 }
 
 }  // namespace fast::service

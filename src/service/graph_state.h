@@ -182,17 +182,8 @@ class GraphState {
                obs::RequestTrace* trace, RequestResult* result);
   StatusOr<FastRunResult> BuildAndRun(const CanonicalQuery& canonical,
                                       const GraphSnapshot& snap,
-                                      const FastRunOptions& run,
-                                      device::DeviceExecutor* device,
+                                      const FastRunOptions& run, Card* card,
                                       std::uint64_t* plan_bytes_charged);
-  // Runs the pipeline from a ready CST + order: inline on this thread, or on
-  // the shared device executor when `device` is non-null.
-  StatusOr<FastRunResult> Dispatch(const Cst& cst, const MatchingOrder& order,
-                                   const CanonicalQuery& canonical,
-                                   const GraphSnapshot& snap,
-                                   const FastRunOptions& run,
-                                   device::DeviceExecutor* device,
-                                   double build_seconds);
   std::uint64_t Publish(Graph next);
 
   const GraphStateOptions options_;

@@ -78,7 +78,12 @@ std::string RouterStats::Summary() const {
 }
 
 TenantRouter::TenantRouter(RouterOptions options)
-    : options_(std::move(options)),
+    : options_([&] {
+        // Device mode hands every partition to the shared card, so the one
+        // place that configures it turns the host's δ-share off.
+        if (options.device_mode) options.run.cpu_share_delta = 0.0;
+        return std::move(options);
+      }()),
       obs_(obs::RequestObs::Options{options_.metrics, options_.tracing,
                                     options_.slow_request_seconds,
                                     options_.trace_ring_capacity, options_.slo,

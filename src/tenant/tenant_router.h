@@ -123,12 +123,12 @@ struct RouterOptions {
   // policy). Per-request fields override its store_limit/embedding_callback.
   FastRunOptions run;
 
-  // Shared-device mode (device/device_executor.h): workers decompose each
-  // request into CST-partition work items on ONE device executor, which
-  // batches items from concurrent requests (and tenants) into shared device
-  // rounds. The executor simulates run.fpga under run.variant;
-  // run.cpu_share_delta is ignored in this mode. Each tenant's WRR weight
-  // doubles as its device-round weight.
+  // Shared-device mode (device/device_executor.h): each request runs the
+  // pipeline on a device session, so its CST partitions become work items on
+  // ONE executor, which batches items from concurrent requests (and tenants)
+  // into shared device rounds. The executor simulates run.fpga under
+  // run.variant; the router zeroes run.cpu_share_delta (the device owns every
+  // partition). Each tenant's WRR weight doubles as its device-round weight.
   bool device_mode = false;
   device::DeviceOptions device;
 

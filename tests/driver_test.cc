@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "util/cancel.h"
 
 namespace fast {
 namespace {
@@ -197,6 +198,43 @@ TEST(MultiFpgaTest, MoreDevicesNeverSlower) {
   const double busiest4 =
       *std::max_element(four.device_seconds.begin(), four.device_seconds.end());
   EXPECT_LE(busiest4, busiest1 + 1e-12);
+}
+
+TEST(MultiFpgaTest, RejectsInvalidExplicitOrder) {
+  FastRunOptions options;
+  MatchingOrder order;
+  order.root = 0;
+  order.order = {0, 3, 2, 1};  // u3 before its parent u1
+  options.explicit_order = order;
+  EXPECT_FALSE(RunMultiFpga(PaperQuery(), PaperDataGraph(), 2, options).ok());
+}
+
+TEST(MultiFpgaTest, TrippedTokenReturnsDeadlineExceeded) {
+  CancelToken cancelled;
+  cancelled.Cancel();
+  FastRunOptions options;
+  options.cancel = &cancelled;
+  auto r = RunMultiFpga(PaperQuery(), PaperDataGraph(), 2, options);
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+// The makespan is RunFast's composed total over the busiest card, and one
+// card prices exactly as the private inline card.
+TEST(MultiFpgaTest, OneDevicePricesLikeTheInlineCard) {
+  Graph g = SmallLdbcGraph(0.2);
+  QueryGraph q = LdbcQuery(8).value();
+  FastRunOptions options;
+  options.partition.max_size_words = 1024;
+  options.partition.max_degree = 64;
+  auto inline_r = RunFast(q, g, options).value();
+  auto multi = RunMultiFpga(q, g, 1, options).value();
+  ASSERT_GT(inline_r.fpga_partitions, 1u);
+  EXPECT_EQ(multi.num_partitions, inline_r.fpga_partitions);
+  EXPECT_EQ(multi.embeddings, inline_r.embeddings);
+  ASSERT_EQ(multi.device_seconds.size(), 1u);
+  EXPECT_EQ(multi.device_seconds[0],
+            inline_r.kernel_seconds + inline_r.pcie_seconds);
+  EXPECT_GE(multi.makespan_seconds, multi.build_seconds + multi.device_seconds[0]);
 }
 
 TEST(MultiFpgaTest, WorkSpreadsAcrossDevices) {

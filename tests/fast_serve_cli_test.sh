@@ -8,7 +8,10 @@
 #   once_counts_match   --once counts equal fast_match's for q0..q2
 #   replay_one_tenant   a swapping replay on one tenant exits 0
 #   replay_two_tenants  the same replay over two tenants exits 0
-#   bad_typed_flag      --duration abc exits 2 naming the flag
+#   bad_typed_flag      --duration abc exits 2 naming the flag, before
+#                       any graph is built
+#   device_with_delta   --device --delta 0.3 exits 2 naming --delta, before
+#                       any graph is built
 #   once_update_tracks_delta
 #                       --once --update: counts after cutting a hub's edges
 #                       equal fast_match's on the cut graph, and counts
@@ -86,10 +89,20 @@ case "$case_name" in
     grep -q "^throughput:" "$work/serve.txt" || fail "no replay summary"
     ;;
   bad_typed_flag)
-    "$bin/fast_serve" --sf 0.05 --duration abc > /dev/null 2> "$work/err.txt"
+    "$bin/fast_serve" --sf 0.05 --duration abc > "$work/out.txt" 2> "$work/err.txt"
     rc=$?
     [ "$rc" -eq 2 ] || fail "--duration abc exited $rc, want 2"
     grep -q "duration" "$work/err.txt" || fail "error does not name --duration"
+    # Rejected before any graph is built.
+    ! grep -q "^data:" "$work/out.txt" || fail "a graph was built before the check"
+    ;;
+  device_with_delta)
+    "$bin/fast_serve" --sf 0.05 --device --delta 0.3 > "$work/out.txt" \
+      2> "$work/err.txt"
+    rc=$?
+    [ "$rc" -eq 2 ] || fail "--device --delta 0.3 exited $rc, want 2"
+    grep -q -- "--delta" "$work/err.txt" || fail "error does not name --delta"
+    ! grep -q "^data:" "$work/out.txt" || fail "a graph was built before the check"
     ;;
   once_update_tracks_delta)
     "$bin/fast_datagen" --sf 0.05 --out "$work/g.txt" --queries-dir "$work" \

@@ -93,8 +93,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -131,6 +131,14 @@ struct ObsConfig {
   std::string profile_out;   // collapsed stacks at exit
   std::string chrome_trace;  // trace-event timeline at exit
   double sample_ms = 100.0;  // periodic-sampler interval
+};
+
+// Replay/--listen load-loop settings, checked in Run before any graph build.
+struct LoopConfig {
+  double duration = 0.0;  // seconds; --listen: 0 = until stdin closes
+  std::size_t clients = 4;
+  double swap_every_ms = 0.0;
+  net::WireServerOptions wire;  // --listen: host, port, window, tracing
 };
 
 // Background gauge sampler: polls the serving gauges the components maintain
@@ -228,21 +236,15 @@ int WriteObsOutputs(
   return 0;
 }
 
-// Starts the admin HTTP server against `frontend` when --admin-port was
-// given (any serving mode); returns null without the flag. The returned
-// server must be destroyed before the frontend.
+// Starts the admin HTTP server against `frontend` on `port` (--admin-port,
+// any serving mode); returns null without one. The returned server must be
+// destroyed before the frontend.
 StatusOr<std::unique_ptr<net::AdminHttpServer>> StartAdminServer(
-    const tools::FlagParser& flags, service::Frontend* frontend,
+    std::optional<std::uint16_t> port, service::Frontend* frontend,
     obs::MetricsRegistry* registry, const std::string& flags_echo) {
-  if (!flags.Has("admin-port")) {
-    return std::unique_ptr<net::AdminHttpServer>();
-  }
-  FAST_ASSIGN_OR_RETURN(const std::size_t port, flags.GetSizeT("admin-port", 0));
-  if (port > 65535) {
-    return Status::InvalidArgument("--admin-port: not a TCP port");
-  }
+  if (!port.has_value()) return std::unique_ptr<net::AdminHttpServer>();
   net::AdminHttpOptions aopts;
-  aopts.port = static_cast<std::uint16_t>(port);
+  aopts.port = *port;
   auto server = std::make_unique<net::AdminHttpServer>(aopts);
   net::AdminEndpointsOptions eopts;
   eopts.metrics = registry;
@@ -290,45 +292,26 @@ StatusOr<std::vector<QueryGraph>> LoadQueryMix(const tools::FlagParser& flags) {
 // clients. Blocks for --duration seconds, or until stdin reaches EOF when no
 // duration is given — so `fast_serve --listen &` under a script dies with the
 // script, and an interactive run stops on Ctrl-D.
-int RunListen(
-    service::Frontend* frontend, const tools::FlagParser& flags,
-    const ObsConfig& obs_cfg, obs::MetricsRegistry* registry,
-    const std::function<std::vector<std::shared_ptr<const obs::CompletedTrace>>()>&
-        traces) {
-  net::WireServerOptions wopts;
-  wopts.host = flags.GetString("host", "127.0.0.1");
-  std::size_t port, max_inflight;
-  double duration;
-  FAST_FLAG_ASSIGN_OR_USAGE(port, flags.GetSizeT("port", 0));
-  FAST_FLAG_ASSIGN_OR_USAGE(max_inflight, flags.GetSizeT("max-inflight", 64));
-  FAST_FLAG_ASSIGN_OR_USAGE(duration, flags.GetDouble("duration", 0.0));
-  if (port > 65535) {
-    std::fprintf(stderr, "--port: %zu is not a TCP port\n", port);
-    return 2;
-  }
-  wopts.port = static_cast<std::uint16_t>(port);
-  wopts.max_inflight_per_conn = static_cast<std::uint32_t>(max_inflight);
-  wopts.metrics = registry;
-  wopts.tracing = !flags.Has("no-trace");
-
-  net::WireServer server(frontend, wopts);
+int RunListen(tenant::TenantRouter& router, const LoopConfig& loop,
+              const ObsConfig& obs_cfg, obs::MetricsRegistry* registry) {
+  net::WireServer server(&router, loop.wire);
   if (const Status s = server.Start(); !s.ok()) {
     std::fprintf(stderr, "listen: %s\n", s.ToString().c_str());
     return 1;
   }
   // Scripts parse this line for the ephemeral port; flush past the buffer.
-  std::printf("listen: wire protocol on %s:%u (window %zu/conn)%s\n",
-              wopts.host.c_str(), server.port(), max_inflight,
-              duration > 0.0 ? "" : ", close stdin to stop");
+  std::printf("listen: wire protocol on %s:%u (window %u/conn)%s\n",
+              loop.wire.host.c_str(), server.port(), loop.wire.max_inflight_per_conn,
+              loop.duration > 0.0 ? "" : ", close stdin to stop");
   std::fflush(stdout);
 
   std::unique_ptr<obs::PeriodicSampler> sampler;
   if (!obs_cfg.metrics_json.empty()) {
     sampler = StartGaugeSampler(registry, obs_cfg.sample_ms);
   }
-  if (duration > 0.0) {
+  if (loop.duration > 0.0) {
     Timer wall;
-    while (wall.ElapsedSeconds() < duration) {
+    while (wall.ElapsedSeconds() < loop.duration) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   } else {
@@ -351,7 +334,8 @@ int RunListen(
               static_cast<unsigned long long>(stats.pushback_conn),
               static_cast<unsigned long long>(stats.errors_sent),
               static_cast<unsigned long long>(stats.protocol_errors));
-  return WriteObsOutputs(obs_cfg, *registry, sampler.get(), traces(), frontend);
+  return WriteObsOutputs(obs_cfg, *registry, sampler.get(),
+                         router.recent_traces(), &router);
 }
 
 // Per-tenant breakdown shared by the one-shot and replay summaries.
@@ -458,37 +442,10 @@ int RunOnce(tenant::TenantRouter& router, const service::SessionKey& id,
 // keeps reporting success.
 int RunReplay(tenant::TenantRouter& router,
               const std::vector<service::SessionKey>& ids,
-              const tools::FlagParser& flags,
-              const std::vector<QueryGraph>& queries,
+              const LoopConfig& loop, const std::vector<QueryGraph>& queries,
               const std::vector<GraphDelta>& deltas, std::size_t churn,
               std::size_t store, double zipf_s, const ObsConfig& obs_cfg,
               obs::MetricsRegistry* registry) {
-  // All flags parse before any thread spawns: an early `return 2` with
-  // joinable client threads would std::terminate.
-  double duration, swap_every_ms;
-  std::size_t clients;
-  FAST_FLAG_ASSIGN_OR_USAGE(duration, flags.GetDouble("duration", 5.0));
-  FAST_FLAG_ASSIGN_OR_USAGE(clients, flags.GetSizeT("clients", 4));
-  FAST_FLAG_ASSIGN_OR_USAGE(swap_every_ms, flags.GetDouble("swap-every-ms", 0.0));
-  clients = std::max<std::size_t>(clients, 1);
-  if (flags.Has("reload")) {
-    std::fprintf(stderr, "--reload only applies in --once mode "
-                         "(use --update/--swap-every-ms in replay mode)\n");
-    return 2;
-  }
-  if (!deltas.empty() && swap_every_ms <= 0.0) {
-    std::fprintf(stderr, "--update in replay mode needs --swap-every-ms "
-                         "(or add --once to apply the deltas one-shot)\n");
-    return 2;
-  }
-  // --churn only feeds the random-delta writer; reject it when that writer
-  // won't run rather than silently measuring an unchurned replay.
-  if (flags.Has("churn") && (swap_every_ms <= 0.0 || !deltas.empty())) {
-    std::fprintf(stderr, "--churn needs --swap-every-ms and no --update files "
-                         "(churn generates the random deltas)\n");
-    return 2;
-  }
-
   std::unique_ptr<obs::PeriodicSampler> sampler;
   if (!obs_cfg.metrics_json.empty()) {
     sampler = StartGaugeSampler(registry, obs_cfg.sample_ms);
@@ -497,8 +454,8 @@ int RunReplay(tenant::TenantRouter& router,
   const std::vector<double> cdf = ZipfCdf(ids.size(), zipf_s);
   std::atomic<bool> stop{false};
   std::vector<std::thread> client_threads;
-  client_threads.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
+  client_threads.reserve(loop.clients);
+  for (std::size_t c = 0; c < loop.clients; ++c) {
     client_threads.emplace_back([&, c] {
       Rng rng(0x7E4A47 + c);
       while (!stop.load(std::memory_order_relaxed)) {
@@ -514,7 +471,7 @@ int RunReplay(tenant::TenantRouter& router,
   }
   std::thread writer;
   std::atomic<bool> writer_failed{false};
-  if (swap_every_ms > 0.0) {
+  if (loop.swap_every_ms > 0.0) {
     writer = std::thread([&] {
       Rng rng(0xD317A);
       std::size_t next_tenant = 0;
@@ -523,7 +480,7 @@ int RunReplay(tenant::TenantRouter& router,
         // Sliced sleep so a long interval doesn't delay shutdown.
         Timer interval;
         while (!stop.load(std::memory_order_relaxed) &&
-               interval.ElapsedSeconds() * 1e3 < swap_every_ms) {
+               interval.ElapsedSeconds() * 1e3 < loop.swap_every_ms) {
           std::this_thread::sleep_for(std::chrono::milliseconds(5));
         }
         if (stop.load(std::memory_order_relaxed)) break;
@@ -547,7 +504,7 @@ int RunReplay(tenant::TenantRouter& router,
   }
 
   Timer wall;
-  while (wall.ElapsedSeconds() < duration) {
+  while (wall.ElapsedSeconds() < loop.duration) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   stop.store(true);
@@ -558,7 +515,7 @@ int RunReplay(tenant::TenantRouter& router,
   const auto stats = router.stats();
   const double elapsed = wall.ElapsedSeconds();
   std::printf("\n--- %.1fs replay, %zu client thread%s, %zu tenant%s ---\n",
-              elapsed, clients, clients == 1 ? "" : "s", ids.size(),
+              elapsed, loop.clients, loop.clients == 1 ? "" : "s", ids.size(),
               ids.size() == 1 ? "" : "s");
   std::printf("throughput:  %.1f queries/sec\n",
               static_cast<double>(stats.completed) / elapsed);
@@ -642,9 +599,8 @@ int Run(int argc, char** argv) {
     flags_echo += argv[i];
   }
 
-  // --- Data graphs: --data FILE or a generated graph at --sf for tenant 0;
-  // with --tenants N the rest get fresh graphs from consecutive seeds so the
-  // tenants carry genuinely different data. ---
+  // --- Every flag parses and every combination is checked before the
+  // first graph is built: a typo must not cost a large --sf generation. ---
   std::size_t num_tenants;
   FAST_FLAG_ASSIGN_OR_USAGE(num_tenants, flags->GetSizeT("tenants", 1));
   num_tenants = std::max<std::size_t>(num_tenants, 1);
@@ -660,38 +616,12 @@ int Run(int argc, char** argv) {
                          "--tenants N (N > 1)\n");
     return 2;
   }
-  std::vector<Graph> graphs;
-  if (flags->Has("data")) {
-    auto g = LoadGraphFile(flags->GetString("data", ""));
-    if (!g.ok()) {
-      std::fprintf(stderr, "data: %s\n", g.status().ToString().c_str());
-      return 1;
-    }
-    graphs.push_back(std::move(*g));
-  } else {
-    LdbcConfig config;
-    FAST_FLAG_ASSIGN_OR_USAGE(config.scale_factor, flags->GetDouble("sf", 0.5));
-    long long seed;
-    FAST_FLAG_ASSIGN_OR_USAGE(seed, flags->GetInt("seed", 42));
-    for (std::size_t i = 0; i < num_tenants; ++i) {
-      config.seed = static_cast<std::uint64_t>(seed) + i;
-      auto g = GenerateLdbcGraph(config);
-      if (!g.ok()) {
-        std::fprintf(stderr, "data: %s\n", g.status().ToString().c_str());
-        return 1;
-      }
-      graphs.push_back(std::move(*g));
-    }
-  }
-  std::printf("data:  %s\n", graphs.front().Summary().c_str());
 
   auto queries = LoadQueryMix(*flags);
   if (!queries.ok()) {
     std::fprintf(stderr, "queries: %s\n", queries.status().ToString().c_str());
     return 2;
   }
-  std::printf("mix:   %zu quer%s\n", queries->size(),
-              queries->size() == 1 ? "y" : "ies");
 
   // --- Router and per-tenant configuration. ---
   tenant::RouterOptions options;
@@ -756,6 +686,11 @@ int Run(int argc, char** argv) {
                  "--batch-window-us/--max-batch only apply with --device\n");
     return 2;
   }
+  if (options.device_mode && options.run.cpu_share_delta > 0.0) {
+    std::fprintf(stderr, "--delta does not apply with --device (the shared "
+                         "device matches every partition)\n");
+    return 2;
+  }
   double batch_window_us;
   FAST_FLAG_ASSIGN_OR_USAGE(batch_window_us,
                             flags->GetDouble("batch-window-us", 200.0));
@@ -778,17 +713,6 @@ int Run(int argc, char** argv) {
   obs_cfg.chrome_trace = flags->GetString("chrome-trace", "");
   double profile_hz;
   FAST_FLAG_ASSIGN_OR_USAGE(profile_hz, flags->GetDouble("profile-hz", 0.0));
-  if (profile_hz > 0.0) {
-    obs::Profiler::Default()->BindMetrics(&registry);
-    obs::Profiler::Default()->Start(profile_hz);
-    std::printf("profile: sampling at %.0f Hz\n", obs::Profiler::Default()->hz());
-  }
-  // The profiler reports into `registry` and its sampler reads thread slots
-  // the service/router threads own: stop it before either is destroyed, on
-  // every return path below.
-  struct ProfilerStopper {
-    ~ProfilerStopper() { obs::Profiler::Default()->Stop(); }
-  } profiler_stopper;
   double slow_ms;
   FAST_FLAG_ASSIGN_OR_USAGE(slow_ms, flags->GetDouble("slow-ms", 0.0));
   options.metrics = &registry;
@@ -842,6 +766,95 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
+  // --- Load loop (replay and --listen). ---
+  LoopConfig loop;
+  FAST_FLAG_ASSIGN_OR_USAGE(
+      loop.duration, flags->GetDouble("duration", flags->Has("listen") ? 0.0 : 5.0));
+  FAST_FLAG_ASSIGN_OR_USAGE(loop.clients, flags->GetSizeT("clients", 4));
+  loop.clients = std::max<std::size_t>(loop.clients, 1);
+  FAST_FLAG_ASSIGN_OR_USAGE(loop.swap_every_ms,
+                            flags->GetDouble("swap-every-ms", 0.0));
+  FAST_FLAG_ASSIGN_OR_USAGE(const std::size_t port, flags->GetSizeT("port", 0));
+  FAST_FLAG_ASSIGN_OR_USAGE(const std::size_t max_inflight,
+                            flags->GetSizeT("max-inflight", 64));
+  if (port > 65535) {
+    std::fprintf(stderr, "--port: %zu is not a TCP port\n", port);
+    return 2;
+  }
+  loop.wire.host = flags->GetString("host", "127.0.0.1");
+  loop.wire.port = static_cast<std::uint16_t>(port);
+  loop.wire.max_inflight_per_conn = static_cast<std::uint32_t>(max_inflight);
+  loop.wire.tracing = !flags->Has("no-trace");
+  loop.wire.metrics = &registry;
+  std::optional<std::uint16_t> admin_port;
+  if (flags->Has("admin-port")) {
+    FAST_FLAG_ASSIGN_OR_USAGE(const std::size_t p, flags->GetSizeT("admin-port", 0));
+    if (p > 65535) {
+      std::fprintf(stderr, "--admin-port: %zu is not a TCP port\n", p);
+      return 2;
+    }
+    admin_port = static_cast<std::uint16_t>(p);
+  }
+  if (!flags->Has("once") && flags->Has("reload")) {
+    std::fprintf(stderr, "--reload only applies in --once mode "
+                         "(use --update/--swap-every-ms in replay mode)\n");
+    return 2;
+  }
+  if (!flags->Has("once") && !deltas->empty() && loop.swap_every_ms <= 0.0) {
+    std::fprintf(stderr, "--update in replay mode needs --swap-every-ms "
+                         "(or add --once to apply the deltas one-shot)\n");
+    return 2;
+  }
+  // --churn only feeds the random-delta writer; reject it when that writer
+  // won't run rather than silently measuring an unchurned replay.
+  if (flags->Has("churn") && (loop.swap_every_ms <= 0.0 || !deltas->empty())) {
+    std::fprintf(stderr, "--churn needs --swap-every-ms and no --update files "
+                         "(churn generates the random deltas)\n");
+    return 2;
+  }
+
+  // --- Data graphs: --data FILE or a generated graph at --sf for tenant 0;
+  // with --tenants N the rest get fresh graphs from consecutive seeds so the
+  // tenants carry genuinely different data. ---
+  std::vector<Graph> graphs;
+  if (flags->Has("data")) {
+    auto g = LoadGraphFile(flags->GetString("data", ""));
+    if (!g.ok()) {
+      std::fprintf(stderr, "data: %s\n", g.status().ToString().c_str());
+      return 1;
+    }
+    graphs.push_back(std::move(*g));
+  } else {
+    LdbcConfig config;
+    FAST_FLAG_ASSIGN_OR_USAGE(config.scale_factor, flags->GetDouble("sf", 0.5));
+    long long seed;
+    FAST_FLAG_ASSIGN_OR_USAGE(seed, flags->GetInt("seed", 42));
+    for (std::size_t i = 0; i < num_tenants; ++i) {
+      config.seed = static_cast<std::uint64_t>(seed) + i;
+      auto g = GenerateLdbcGraph(config);
+      if (!g.ok()) {
+        std::fprintf(stderr, "data: %s\n", g.status().ToString().c_str());
+        return 1;
+      }
+      graphs.push_back(std::move(*g));
+    }
+  }
+  std::printf("data:  %s\n", graphs.front().Summary().c_str());
+  std::printf("mix:   %zu quer%s\n", queries->size(),
+              queries->size() == 1 ? "y" : "ies");
+
+  if (profile_hz > 0.0) {
+    obs::Profiler::Default()->BindMetrics(&registry);
+    obs::Profiler::Default()->Start(profile_hz);
+    std::printf("profile: sampling at %.0f Hz\n", obs::Profiler::Default()->hz());
+  }
+  // The profiler reports into `registry` and its sampler reads thread slots
+  // the service/router threads own: stop it before either is destroyed, on
+  // every return path below.
+  struct ProfilerStopper {
+    ~ProfilerStopper() { obs::Profiler::Default()->Stop(); }
+  } profiler_stopper;
+
   // A single graph is one tenant under the default session key; N graphs
   // are tenants t0..tN-1 behind the same shared pool.
   tenant::TenantRouter router(options);
@@ -865,20 +878,19 @@ int Run(int argc, char** argv) {
               topts.max_queued,
               options.device_mode ? ", shared device executor" : "");
 
-  auto admin = StartAdminServer(*flags, &router, &registry, flags_echo);
+  auto admin = StartAdminServer(admin_port, &router, &registry, flags_echo);
   if (!admin.ok()) {
     std::fprintf(stderr, "admin: %s\n", admin.status().ToString().c_str());
     return 1;
   }
   if (flags->Has("listen")) {
-    return RunListen(&router, *flags, obs_cfg, &registry,
-                     [&router] { return router.recent_traces(); });
+    return RunListen(router, loop, obs_cfg, &registry);
   }
   if (flags->Has("once")) {
     return RunOnce(router, ids.front(), *flags, *queries, *deltas, store,
                    obs_cfg, &registry);
   }
-  return RunReplay(router, ids, *flags, *queries, *deltas, churn, store, zipf_s,
+  return RunReplay(router, ids, loop, *queries, *deltas, churn, store, zipf_s,
                    obs_cfg, &registry);
 }
 
