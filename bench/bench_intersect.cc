@@ -7,12 +7,17 @@
 // trip the galloping path, plus a bitmap-filter class modelling hub-vertex
 // materialization — it measures sorted-set intersections per second over a
 // pool of deterministic random inputs, and reports each level's speedup over
-// scalar. --json writes BENCH_intersect.json for the CI artifact; the
-// acceptance gate is max_speedup >= 2.0 on at least one size class.
+// scalar. Measurements are interleaved: kRounds rounds each time every
+// (class, level) cell once, rotating which level goes first, and a cell
+// reports the median of its rounds (min and max in the JSON). --seconds is
+// a cell's timed total, split over the rounds. --json writes
+// BENCH_intersect.json for the CI artifact; the acceptance gate is
+// max_speedup >= 2.0 on at least one size class.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -140,6 +145,24 @@ Measurement MeasureBitmapFilter(const simd::Kernels& k, double seconds) {
   return m;
 }
 
+constexpr std::uint64_t kRounds = 5;
+
+// Median, min and max of one cell's per-round samples.
+struct Summary {
+  Measurement median;
+  double min_ops = 0;
+  double max_ops = 0;
+};
+
+Summary Summarize(std::vector<Measurement> samples) {
+  std::sort(samples.begin(), samples.end(),
+            [](const Measurement& a, const Measurement& b) {
+              return a.ops_per_sec < b.ops_per_sec;
+            });
+  return {samples[samples.size() / 2], samples.front().ops_per_sec,
+          samples.back().ops_per_sec};
+}
+
 int Run(int argc, char** argv) {
   auto flags = tools::FlagParser::Parse(argc, argv, {"seconds", "json", "help"},
                                         /*bool_flags=*/{"help"});
@@ -150,6 +173,7 @@ int Run(int argc, char** argv) {
   }
   double seconds;
   FAST_FLAG_ASSIGN_OR_USAGE(seconds, flags->GetDouble("seconds", 0.2));
+  const double sample_seconds = seconds / kRounds;
 
   std::vector<simd::Level> levels;
   for (int i = 0; i < simd::kNumLevels; ++i) {
@@ -157,67 +181,88 @@ int Run(int argc, char** argv) {
     if (simd::LevelAvailable(level)) levels.push_back(level);
   }
 
+  // Cells are the intersect classes plus the hub-bitmap class (last).
+  constexpr std::size_t kNumIntersect = std::size(kClasses);
+  constexpr std::size_t kNumCells = kNumIntersect + 1;
+  std::vector<InputPool> pools;
+  for (const SizeClass& sc : kClasses) pools.push_back(MakePool(sc));
+
+  // Same inputs, same distinct-value outputs: any divergence is a bug.
+  bool checksums_ok = true;
+  for (std::size_t c = 0; c < kNumIntersect; ++c) {
+    const std::uint64_t scalar_checksum =
+        PoolChecksum(simd::KernelsFor(simd::Level::kScalar), kClasses[c], pools[c]);
+    for (const simd::Level level : levels) {
+      if (PoolChecksum(simd::KernelsFor(level), kClasses[c], pools[c]) !=
+          scalar_checksum) {
+        checksums_ok = false;
+        std::fprintf(stderr, "CHECKSUM MISMATCH: %s on class %s\n",
+                     simd::LevelName(level), kClasses[c].name);
+      }
+    }
+  }
+
+  // samples[cell][level index][round]
+  std::vector<std::vector<std::vector<Measurement>>> samples(
+      kNumCells, std::vector<std::vector<Measurement>>(levels.size()));
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    for (std::size_t c = 0; c < kNumCells; ++c) {
+      for (std::size_t i = 0; i < levels.size(); ++i) {
+        const std::size_t li = (i + round) % levels.size();
+        const simd::Kernels& kern = simd::KernelsFor(levels[li]);
+        samples[c][li].push_back(
+            c < kNumIntersect
+                ? MeasureIntersect(kern, kClasses[c], pools[c], sample_seconds)
+                : MeasureBitmapFilter(kern, sample_seconds));
+      }
+    }
+  }
+
   bench::JsonWriter w;
   w.Field("bench", "bench_intersect");
   w.Field("seconds_per_cell", seconds);
+  w.Field("rounds", kRounds);
   w.Field("levels", simd::AvailableLevelsString());
 
-  std::printf("%-10s %-8s %14s %16s %9s\n", "class", "kernel", "ops/sec",
-              "elems/sec", "speedup");
+  std::printf("median of %llu interleaved rounds per cell\n",
+              static_cast<unsigned long long>(kRounds));
+  std::printf("%-10s %-8s %14s %16s %9s %8s\n", "class", "kernel", "ops/sec",
+              "elems/sec", "speedup", "spread");
   double max_speedup = 0.0;
   std::string max_speedup_class;
   const char* max_speedup_level = "";
-  std::uint64_t scalar_checksum = 0;
-  bool checksums_ok = true;
-  for (const SizeClass& sc : kClasses) {
-    const InputPool pool = MakePool(sc);
+  for (std::size_t c = 0; c < kNumCells; ++c) {
+    const bool bitmap = c == kNumIntersect;
+    const char* name = bitmap ? "hub-bitmap" : kClasses[c].name;
     double scalar_ops = 0;
-    for (const simd::Level level : levels) {
-      const simd::Kernels& kern = simd::KernelsFor(level);
-      const Measurement m = MeasureIntersect(kern, sc, pool, seconds);
-      if (level == simd::Level::kScalar) {
-        scalar_ops = m.ops_per_sec;
-        scalar_checksum = PoolChecksum(kern, sc, pool);
-      } else if (PoolChecksum(kern, sc, pool) != scalar_checksum) {
-        // Same inputs, same distinct-value outputs: any divergence is a bug.
-        checksums_ok = false;
-        std::fprintf(stderr, "CHECKSUM MISMATCH: %s on class %s\n",
-                     simd::LevelName(level), sc.name);
-      }
+    for (std::size_t li = 0; li < levels.size(); ++li) {
+      const simd::Level level = levels[li];
+      const Summary m = Summarize(samples[c][li]);
+      if (level == simd::Level::kScalar) scalar_ops = m.median.ops_per_sec;
       const double speedup =
-          scalar_ops > 0 ? m.ops_per_sec / scalar_ops : 1.0;
-      if (level != simd::Level::kScalar && speedup > max_speedup) {
+          scalar_ops > 0 ? m.median.ops_per_sec / scalar_ops : 1.0;
+      if (!bitmap && level != simd::Level::kScalar && speedup > max_speedup) {
         max_speedup = speedup;
-        max_speedup_class = sc.name;
+        max_speedup_class = name;
         max_speedup_level = simd::LevelName(level);
       }
-      std::printf("%-10s %-8s %14.0f %16.3e %8.2fx\n", sc.name,
-                  simd::LevelName(level), m.ops_per_sec, m.elems_per_sec,
-                  speedup);
+      // spread: (max - min) / median over the rounds.
+      std::printf("%-10s %-8s %14.0f %16.3e %8.2fx %7.1f%%\n", name,
+                  simd::LevelName(level), m.median.ops_per_sec,
+                  m.median.elems_per_sec, speedup,
+                  100.0 * (m.max_ops - m.min_ops) / m.median.ops_per_sec);
       char key[64];
-      std::snprintf(key, sizeof(key), "intersect_%s_%s", sc.name,
-                    simd::LevelName(level));
+      if (bitmap) {
+        std::snprintf(key, sizeof(key), "bitmap_filter_%s", simd::LevelName(level));
+      } else {
+        std::snprintf(key, sizeof(key), "intersect_%s_%s", name,
+                      simd::LevelName(level));
+      }
       w.BeginObject(key);
-      w.Field("ops_per_sec", m.ops_per_sec);
-      w.Field("elems_per_sec", m.elems_per_sec);
-      w.Field("speedup_vs_scalar", speedup);
-      w.EndObject();
-    }
-  }
-  {
-    double scalar_ops = 0;
-    for (const simd::Level level : levels) {
-      const Measurement m = MeasureBitmapFilter(simd::KernelsFor(level), seconds);
-      if (level == simd::Level::kScalar) scalar_ops = m.ops_per_sec;
-      const double speedup = scalar_ops > 0 ? m.ops_per_sec / scalar_ops : 1.0;
-      std::printf("%-10s %-8s %14.0f %16.3e %8.2fx\n", "hub-bitmap",
-                  simd::LevelName(level), m.ops_per_sec, m.elems_per_sec,
-                  speedup);
-      char key[64];
-      std::snprintf(key, sizeof(key), "bitmap_filter_%s",
-                    simd::LevelName(level));
-      w.BeginObject(key);
-      w.Field("ops_per_sec", m.ops_per_sec);
+      w.Field("ops_per_sec", m.median.ops_per_sec);
+      if (!bitmap) w.Field("elems_per_sec", m.median.elems_per_sec);
+      w.Field("ops_per_sec_min", m.min_ops);
+      w.Field("ops_per_sec_max", m.max_ops);
       w.Field("speedup_vs_scalar", speedup);
       w.EndObject();
     }

@@ -166,9 +166,11 @@ StatusOr<FastRunResult> RunFastWithCst(const Cst& cst, const MatchingOrder& orde
   std::vector<Cst> cpu_queue;
   Status partition_status;
   if (options.variant == FastVariant::kDram) {
-    // FAST-DRAM strawman: no partitioning, the whole CST stays in card DRAM.
+    // FAST-DRAM strawman: no partitioning, the whole CST stays in card DRAM
+    // as its one partition. Alg. 2 never runs, so num_recursive_calls stays 0.
     result.partition_stats.num_partitions = 1;
     result.partition_stats.total_size_words = cst.SizeWords();
+    result.partition_stats.max_partition_words = cst.SizeWords();
     partition_status = card->Submit(cst);
   } else {
     const PartitionConfig pconfig = DerivePartitionConfig(

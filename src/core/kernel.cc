@@ -1,7 +1,9 @@
 #include "core/kernel.h"
 
 #include <algorithm>
+#include <span>
 
+#include "simd/intersect.h"
 #include "util/logging.h"
 
 namespace fast {
@@ -12,10 +14,11 @@ namespace {
 struct OrderStep {
   VertexId u = kInvalidVertex;
   int parent_order_pos = -1;  // position of u's t_q parent in the order
-  // Backward non-tree neighbors of u: (query vertex, order position). These
-  // are the edge-validation tasks t_n each new p_o spawns (Alg. 5 lines
+  const CstEdgeList* parent_adj = nullptr;  // N^{parent}_u
+  // Backward non-tree neighbors un of u: (N^{un}_u, order position of un).
+  // These are the edge-validation tasks t_n each new p_o spawns (Alg. 5 lines
   // 10-12); forward non-tree edges are checked when the later endpoint maps.
-  std::vector<std::pair<VertexId, int>> backward_non_tree;
+  std::vector<std::pair<const CstEdgeList*, int>> backward_non_tree;
 };
 
 // One buffered partial result: candidate positions and the corresponding
@@ -45,7 +48,8 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
   if (order.order.size() != n) {
     return Status::InvalidArgument("order arity does not match CST");
   }
-  const BfsTree& tree = cst.layout().tree();
+  const CstLayout& layout = cst.layout();
+  const BfsTree& tree = layout.tree();
   if (order.order.empty() || order.order[0] != tree.root()) {
     return Status::InvalidArgument("order root does not match CST root");
   }
@@ -63,10 +67,12 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
         return Status::InvalidArgument("order is not tree-connected");
       }
       steps[i].parent_order_pos = order_pos[up];
+      steps[i].parent_adj = &cst.EdgeList(layout.SlotOf(up, u));
     }
     for (VertexId un : tree.non_tree_neighbors(u)) {
       if (order_pos[un] < static_cast<int>(i)) {
-        steps[i].backward_non_tree.emplace_back(un, order_pos[un]);
+        steps[i].backward_non_tree.emplace_back(&cst.EdgeList(layout.SlotOf(un, u)),
+                                                order_pos[un]);
       }
     }
   }
@@ -83,9 +89,9 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
   const auto root_cands = cst.Candidates(tree.root());
   std::size_t root_cursor = 0;
   std::vector<VertexId> embedding(n);
-
-  // Temporary row for the expanded partial result.
-  std::vector<std::uint32_t> row(stride);
+  // Survivors of the Edge Validator for the current window.
+  std::vector<std::uint32_t> survivors;
+  const simd::Kernels& kernels = simd::Active();
 
   while (true) {
     // One probe per round: each round is bounded by N_o partials, so an
@@ -101,12 +107,12 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
       if (root_cursor >= root_cands.size()) break;
       const std::size_t take =
           std::min<std::size_t>(no, root_cands.size() - root_cursor);
+      std::vector<std::uint32_t>& flat = levels[1].flat;
+      flat.assign(take * stride, 0);
       for (std::size_t i = 0; i < take; ++i) {
-        row.assign(stride, 0);
+        std::uint32_t* row = flat.data() + i * stride;
         row[0] = static_cast<std::uint32_t>(root_cursor + i);  // position
         row[n] = root_cands[root_cursor + i];                  // data vertex
-        row[2 * n] = 0;                                        // cursor
-        levels[1].flat.insert(levels[1].flat.end(), row.begin(), row.end());
       }
       root_cursor += take;
     }
@@ -124,77 +130,76 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
     ++c.rounds;
     const OrderStep& step = steps[depth];
     const VertexId u = step.u;
+    const auto u_cands = cst.Candidates(u);
+    const std::size_t groups = step.backward_non_tree.size();
+    const bool last = depth + 1 == n;
     std::uint32_t produced = 0;
 
     while (produced < no && !levels[depth].Empty()) {
       std::uint32_t* pi = levels[depth].Back();
       // Candidate list of u given this partial result: the CST adjacency of
-      // the mapped parent candidate (Alg. 5 line 5).
-      const VertexId up = order.order[static_cast<std::size_t>(step.parent_order_pos)];
-      const auto cands =
-          cst.Neighbors(up, u, pi[static_cast<std::size_t>(step.parent_order_pos)]);
-      std::uint32_t cursor = pi[2 * n];
-      const std::uint32_t budget = no - produced;
-      const auto remaining = static_cast<std::uint32_t>(cands.size()) - cursor;
-      const std::uint32_t take = std::min(budget, remaining);
+      // the mapped parent candidate (Alg. 5 line 5). This round takes the
+      // window [cursor, cursor + take) of it.
+      const auto cands = step.parent_adj->Neighbors(
+          pi[static_cast<std::size_t>(step.parent_order_pos)]);
+      const std::uint32_t cursor = pi[2 * n];
+      const std::uint32_t take =
+          std::min(no - produced, static_cast<std::uint32_t>(cands.size()) - cursor);
+      // Every candidate of the window is one p_o with one t_v and one t_n per
+      // backward non-tree neighbor, whether or not it survives validation.
+      c.partial_results += take;
+      c.visited_tasks += take;
+      c.edge_tasks += std::uint64_t{take} * groups;
 
-      for (std::uint32_t k = 0; k < take; ++k) {
-        const std::uint32_t t = cands[cursor + k];
-        const VertexId v = cst.Candidate(u, t);
-        ++c.partial_results;
-        ++c.visited_tasks;
-        c.edge_tasks += step.backward_non_tree.size();
+      // Edge validation (Alg. 7): t must be CST-adjacent to the mapping of
+      // every backward non-tree neighbor un, i.e. t in N^{un}_u(pi[un]) (CST
+      // adjacency is symmetric, see Cst::Validate). Both the window and the
+      // adjacency are sorted positions, so the survivors of the whole window
+      // are one intersection per neighbor, in ascending (= emission) order.
+      std::span<const std::uint32_t> valid = cands.subspan(cursor, take);
+      if (groups > 0 && survivors.size() < take) survivors.resize(take);
+      for (const auto& [adj, jpos] : step.backward_non_tree) {
+        if (valid.empty()) break;
+        const auto nbrs = adj->Neighbors(pi[static_cast<std::size_t>(jpos)]);
+        valid = {survivors.data(),
+                 kernels.intersect(valid.data(), valid.size(), nbrs.data(),
+                                   nbrs.size(), survivors.data())};
+      }
 
+      if (last && collector != nullptr && !valid.empty()) {
+        for (std::size_t j = 0; j < depth; ++j) {
+          embedding[order.order[j]] = pi[n + j];
+        }
+      }
+      for (const std::uint32_t t : valid) {
+        const VertexId v = u_cands[t];
         // Visited validation (Alg. 6): v must differ from every mapped data
         // vertex; the FPGA compares against all of them in parallel.
-        bool valid = true;
-        for (std::size_t j = 0; j < depth; ++j) {
-          if (pi[n + j] == v) {
-            valid = false;
-            break;
-          }
-        }
-        // Edge validation (Alg. 7): v must be CST-adjacent to the mapping of
-        // every backward non-tree neighbor of u.
-        if (valid) {
-          for (const auto& [un, jpos] : step.backward_non_tree) {
-            if (!cst.HasCstEdge(u, t, un,
-                                pi[static_cast<std::size_t>(jpos)])) {
-              valid = false;
-              break;
-            }
-          }
-        }
-        if (!valid) continue;
+        if (std::find(pi + n, pi + n + depth, v) != pi + n + depth) continue;
 
         // Synchronizer (Alg. 8): complete results are reported, partial ones
         // go back to the buffer one level deeper.
-        if (depth + 1 == n) {
+        if (last) {
           ++c.results;
           ++result.embeddings;
           if (collector != nullptr) {
-            for (std::size_t j = 0; j < depth; ++j) {
-              embedding[order.order[j]] = pi[n + j];
-            }
             embedding[u] = v;
             collector->OnEmbedding(embedding);
           }
         } else {
-          std::copy(pi, pi + n, row.begin());
-          std::copy(pi + n, pi + 2 * n, row.begin() + static_cast<std::ptrdiff_t>(n));
+          std::vector<std::uint32_t>& next = levels[depth + 1].flat;
+          next.insert(next.end(), pi, pi + stride);
+          std::uint32_t* row = next.data() + next.size() - stride;
           row[depth] = t;
           row[n + depth] = v;
           row[2 * n] = 0;
-          levels[depth + 1].flat.insert(levels[depth + 1].flat.end(), row.begin(),
-                                        row.end());
         }
       }
       produced += take;
-      cursor += take;
-      if (cursor == cands.size()) {
+      if (cursor + take == cands.size()) {
         levels[depth].PopBack();
       } else {
-        pi[2 * n] = cursor;  // resume later rounds from here
+        pi[2 * n] = cursor + take;  // resume later rounds from here
       }
     }
 
@@ -203,8 +208,7 @@ StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
     c.max_buffer_entries = std::max(c.max_buffer_entries, occupancy);
 
     if (round_trace != nullptr && produced > 0) {
-      round_trace->push_back(
-          {produced, static_cast<std::uint16_t>(step.backward_non_tree.size())});
+      round_trace->push_back({produced, static_cast<std::uint16_t>(groups)});
     }
   }
 

@@ -14,6 +14,15 @@
 // The intermediate-result buffer P is BRAM-only: partial results are grouped
 // by depth and the deepest level is always expanded first, which bounds every
 // level at N_o entries and the whole buffer at (|V(q)|-1)*N_o (Sec. VI-B).
+//
+// The emulation batches where the card pipelines: a round expands a window
+// of each popped partial result's sorted candidate list, and the Edge
+// Validator (Alg. 7) runs as one sorted-set intersection (simd/intersect.h)
+// of that window with the CST adjacency of each mapped backward non-tree
+// neighbor. Survivors come out in candidate order, so the embeddings and
+// their order equal a per-candidate check, and N, M, rounds and the round
+// trace are still counted per candidate: every windowed candidate is one
+// p_o with one t_v and one t_n per backward non-tree neighbor.
 
 #include <cstdint>
 
@@ -36,12 +45,15 @@ struct KernelRunResult {
 // Runs the matching kernel over one CST partition.
 //
 // `order` must be a tree-connected matching order whose root equals the CST's
-// BFS-tree root. Results are reported to `collector` (may be null to count
-// only within the returned counters). When `round_trace` is non-null, one
-// RoundWork entry is appended per Generator round, suitable for the
-// cycle-stepped pipeline simulation (fpga/pipeline_sim.h). A non-null
-// `cancel` token is probed once per Generator round; a tripped token aborts
-// the run with DEADLINE_EXCEEDED (partial counters are discarded).
+// BFS-tree root. The CST must pass Cst::Validate(): edge validation reads each
+// non-tree edge from the mapped neighbor's side, so it relies on both
+// directed lists of a query edge carrying the same pairs. Results are
+// reported to `collector` (may be null to count only within the returned
+// counters). When `round_trace` is non-null, one RoundWork entry is appended
+// per Generator round, suitable for the cycle-stepped pipeline simulation
+// (fpga/pipeline_sim.h). A non-null `cancel` token is probed once per
+// Generator round; a tripped token aborts the run with DEADLINE_EXCEEDED
+// (partial counters are discarded).
 StatusOr<KernelRunResult> RunKernel(const Cst& cst, const MatchingOrder& order,
                                     const FpgaConfig& config,
                                     ResultCollector* collector,

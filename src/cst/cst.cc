@@ -37,12 +37,6 @@ std::span<const std::uint32_t> Cst::Neighbors(VertexId u, VertexId u_prime,
   return adj_[slot].Neighbors(src_pos);
 }
 
-bool Cst::HasCstEdge(VertexId u, std::uint32_t src_pos, VertexId u_prime,
-                     std::uint32_t dst_pos) const {
-  const auto nbrs = Neighbors(u, u_prime, src_pos);
-  return std::binary_search(nbrs.begin(), nbrs.end(), dst_pos);
-}
-
 std::size_t Cst::SizeWords() const {
   std::size_t words = 0;
   for (const auto& c : candidates_) words += c.size();
@@ -106,6 +100,29 @@ Status Cst::Validate() const {
     if (rev < 0) return Status::Internal("missing reverse slot");
     if (adj_[rev].targets.size() != el.targets.size()) {
       return Status::Internal("directed pair count asymmetry on slot " + std::to_string(s));
+    }
+  }
+  // ...and the same pairs: t in N^from_to(p) iff p in N^to_from(t). The
+  // emulated Edge Validator and partition pruning read a constraint from
+  // whichever direction is at hand. Walking the reverse list in source order
+  // meets the pairs (p, t) ordered by t, which is each forward list's own
+  // order, so one cursor per forward source must step through its list
+  // exactly; with equal counts every forward pair is then matched once.
+  std::vector<std::uint32_t> cursor;
+  for (std::size_t s = 0; s < adj_.size(); ++s) {
+    const auto& edge = layout_->edges()[s];
+    const auto rev = static_cast<std::size_t>(layout_->SlotOf(edge.to, edge.from));
+    if (rev < s) continue;  // checked from the other direction
+    const CstEdgeList& fwd = adj_[s];
+    const CstEdgeList& bwd = adj_[rev];
+    cursor.assign(fwd.offsets.begin(), fwd.offsets.end() - 1);
+    for (std::uint32_t t = 0; t + 1 < bwd.offsets.size(); ++t) {
+      for (const std::uint32_t p : bwd.Neighbors(t)) {
+        if (cursor[p] == fwd.offsets[p + 1] || fwd.targets[cursor[p]] != t) {
+          return Status::Internal("directed pair asymmetry on slot " + std::to_string(s));
+        }
+        ++cursor[p];
+      }
     }
   }
   return Status::OK();

@@ -103,11 +103,6 @@ class Cst {
   std::span<const std::uint32_t> Neighbors(VertexId u, VertexId u_prime,
                                            std::uint32_t src_pos) const;
 
-  // O(log d) candidate-edge existence check: is position dst_pos of u' a
-  // CST-neighbor of position src_pos of u?
-  bool HasCstEdge(VertexId u, std::uint32_t src_pos, VertexId u_prime,
-                  std::uint32_t dst_pos) const;
-
   // |CST| in 32-bit words: all candidate entries + all adjacency offsets and
   // targets. This is the quantity compared against the BRAM budget δ_S.
   std::size_t SizeWords() const;
@@ -120,8 +115,10 @@ class Cst {
   // Total number of candidates across all query vertices.
   std::size_t TotalCandidates() const;
 
-  // Structural invariant check (offsets monotone, targets sorted + in range,
-  // directed pairs mutually consistent). Used by tests and DCHECK paths.
+  // Structural invariant check: offsets monotone, targets strictly sorted and
+  // in range, and the two directed lists of every query edge carry the same
+  // candidate pairs (t in N^u_{u'}(p) iff p in N^{u'}_u(t)). Used by tests
+  // and by DeserializeCst on every decoded image.
   Status Validate() const;
 
   // Whether non-tree candidate adjacency was materialized (true for the

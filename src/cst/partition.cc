@@ -29,10 +29,10 @@ bool Fits(const Cst& cst, const PartitionConfig& config) {
 // it still has; a counter hitting zero kills the candidate and the death
 // cascades through the reverse slot (targets of (w,i) toward wn are exactly
 // the positions of wn whose counters toward w count i — the directional-pair
-// symmetry that Cst::Validate() enforces). Same greatest fixpoint as the
-// rescan, but the work is proportional to the candidates actually removed,
-// not rounds x total adjacency — this runs once per part per split level, so
-// it dominates host partitioning time.
+// symmetry that Cst::Validate() checks pair by pair). Same greatest fixpoint
+// as the rescan, but the work is proportional to the candidates actually
+// removed, not rounds x total adjacency — this runs once per part per split
+// level, so it dominates host partitioning time.
 void PruneMasks(const Cst& cst, const std::vector<VertexId>& order,
                 std::size_t index, bool prune_preceding,
                 std::vector<std::vector<char>>* keep) {

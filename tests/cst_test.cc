@@ -4,7 +4,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "cst/cst_serialize.h"
+#include "cst/partition.h"
+#include "query/matching_order.h"
 #include "test_util.h"
 
 namespace fast {
@@ -18,6 +23,12 @@ using testing::SmallLdbcGraph;
 std::set<VertexId> CandidateSet(const Cst& cst, VertexId u) {
   auto span = cst.Candidates(u);
   return {span.begin(), span.end()};
+}
+
+// Is position dst_pos of u' a CST-neighbor of position src_pos of u?
+bool HasCstEdge(const Cst& cst, VertexId u, std::uint32_t src_pos,
+                VertexId u_prime, std::uint32_t dst_pos) {
+  return std::ranges::binary_search(cst.Neighbors(u, u_prime, src_pos), dst_pos);
 }
 
 TEST(CstLayoutTest, SlotsCoverAllDirectedQueryEdges) {
@@ -111,7 +122,7 @@ TEST(CstBuildTest, CstEdgesMirrorGraphEdges) {
     const auto dst = cst.Candidates(e.to);
     for (std::uint32_t i = 0; i < src.size(); ++i) {
       for (std::uint32_t j = 0; j < dst.size(); ++j) {
-        EXPECT_EQ(cst.HasCstEdge(e.from, i, e.to, j), g.HasEdge(src[i], dst[j]))
+        EXPECT_EQ(HasCstEdge(cst, e.from, i, e.to, j), g.HasEdge(src[i], dst[j]))
             << "slot (" << e.from << "->" << e.to << ") " << src[i] << "," << dst[j];
       }
     }
@@ -208,7 +219,7 @@ TEST(SubsetCstTest, RestrictingRootDropsAdjacency) {
     const auto dst = sub.Candidates(e.to);
     for (std::uint32_t i = 0; i < src.size(); ++i) {
       for (std::uint32_t j = 0; j < dst.size(); ++j) {
-        EXPECT_EQ(sub.HasCstEdge(e.from, i, e.to, j), g.HasEdge(src[i], dst[j]));
+        EXPECT_EQ(HasCstEdge(sub, e.from, i, e.to, j), g.HasEdge(src[i], dst[j]));
       }
     }
   }
@@ -227,6 +238,60 @@ TEST(SubsetCstTest, RejectsWrongMaskSize) {
     keep[u].assign(cst.NumCandidates(u) + 1, 1);
   }
   EXPECT_FALSE(SubsetCst(cst, keep).ok());
+}
+
+// ---- Validate: directed-pair symmetry ----
+
+// Every CST the pipeline produces -- built, partitioned by Alg. 2, and
+// decoded from a plan-cache image -- carries the same pairs in both
+// directions of each query edge, which the emulated Edge Validator relies on.
+TEST(CstValidateTest, BuiltPartitionedAndDecodedCstsAreSymmetric) {
+  const Graph g = SmallLdbcGraph();
+  for (int qi = 0; qi < kNumLdbcQueries; ++qi) {
+    const QueryGraph q = LdbcQuery(qi).value();
+    const MatchingOrder order =
+        ComputeMatchingOrder(q, g, OrderPolicy::kPathBased).value();
+    const Cst cst = BuildCst(q, g, order.root).value();
+    ASSERT_TRUE(cst.Validate().ok()) << q.name() << ": " << cst.Validate();
+    PartitionConfig pconfig;
+    pconfig.max_size_words = std::max<std::size_t>(cst.SizeWords() / 6, 32);
+    const auto parts = PartitionCstToVector(cst, order, pconfig).value();
+    ASSERT_GT(parts.size(), 1u) << q.name();
+    for (const Cst& part : parts) {
+      ASSERT_TRUE(part.Validate().ok()) << q.name() << ": " << part.Validate();
+      auto decoded = DeserializeCst(part.layout_ptr(), SerializeCst(part));
+      ASSERT_TRUE(decoded.ok()) << q.name() << ": " << decoded.status();
+    }
+  }
+}
+
+// A one-edge query whose two directed lists have equal pair counts but
+// different pairs: N^0_1 = {p0->t0, p1->t1}, while N^1_0 claims
+// {t0->p1, t1->p0} (or, when symmetric, {t0->p0, t1->p1}).
+std::vector<std::uint32_t> OneEdgeImage(bool symmetric) {
+  const std::uint32_t t0 = symmetric ? 0 : 1;
+  return {kCstImageMagic, 2, 2,        // magic, |V(q)|, slots
+          2, 10, 11,                   // C(0)
+          2, 20, 21,                   // C(1)
+          3, 0, 1, 2, 2, 0, 1,         // N^0_1: offsets, targets
+          3, 0, 1, 2, 2, t0, 1 - t0};  // N^1_0
+}
+
+TEST(CstValidateTest, EqualCountsButMismatchedPairsFail) {
+  GraphBuilder b;
+  b.AddVertex(0);
+  b.AddVertex(0);
+  ASSERT_TRUE(b.AddEdge(0, 1).ok());
+  const QueryGraph q = QueryGraph::Create(std::move(b).Build().value()).value();
+  const auto layout = CstLayout::Create(q, 0);
+  ASSERT_EQ(layout->SlotOf(0, 1), 0);
+  ASSERT_EQ(layout->SlotOf(1, 0), 1);
+
+  EXPECT_TRUE(DeserializeCst(layout, OneEdgeImage(/*symmetric=*/true)).ok());
+  const auto bad = DeserializeCst(layout, OneEdgeImage(/*symmetric=*/false));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("asymmetry"), std::string::npos)
+      << bad.status();
 }
 
 TEST(CstSummaryTest, MentionsSizeAndDegree) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "device/device_executor.h"
 #include "test_util.h"
 #include "util/cancel.h"
 
@@ -103,6 +104,33 @@ TEST(DriverTest, DramVariantSkipsPartitioning) {
   auto result = RunFast(q, g, options).value();
   EXPECT_EQ(result.partition_stats.num_partitions, 1u);
   EXPECT_EQ(result.embeddings, 2u);
+}
+
+// FAST-DRAM's one partition is the whole CST, inline and on a shared device.
+TEST(DriverTest, DramPartitionStatsDescribeTheWholeCst) {
+  const Graph g = SmallLdbcGraph(0.1);
+  const QueryGraph q = LdbcQuery(8).value();
+  FastRunOptions options;
+  options.variant = FastVariant::kDram;
+  const auto check = [](const FastRunResult& r, const char* where) {
+    const PartitionStats& ps = r.partition_stats;
+    EXPECT_EQ(ps.num_partitions, 1u) << where;
+    EXPECT_EQ(ps.num_recursive_calls, 0u) << where;
+    EXPECT_GT(ps.total_size_words, 0u) << where;
+    EXPECT_EQ(ps.max_partition_words, ps.total_size_words) << where;
+  };
+  const FastRunResult inline_run = RunFast(q, g, options).value();
+  check(inline_run, "inline");
+
+  device::DeviceOptions dopts;
+  dopts.fpga = options.fpga;
+  dopts.variant = options.variant;
+  device::DeviceExecutor device(dopts);
+  device::DeviceSession session(device, "t0", 1, "dram-q8");
+  const FastRunResult device_run = RunFast(q, g, options, &session).value();
+  check(device_run, "device");
+  EXPECT_EQ(device_run.partition_stats, inline_run.partition_stats);
+  EXPECT_EQ(device_run.embeddings, inline_run.embeddings);
 }
 
 TEST(DriverTest, DramSlowerThanBasicOnSameWorkload) {

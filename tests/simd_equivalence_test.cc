@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cpu_matcher.h"
+#include "core/kernel.h"
 #include "query/matching_order.h"
 #include "simd/intersect.h"
 #include "test_util.h"
@@ -10,7 +14,10 @@
 // End-to-end equivalence across kernel levels: for every available SIMD/SWAR
 // level, BuildCst and MatchCstOnCpu must produce a bit-identical CST and
 // identical match counts/embeddings to the scalar reference on the seed
-// datasets. This is the CI gate behind the --simd flag.
+// datasets, and the emulated FPGA kernel (RunKernel, whose Edge Validator
+// intersects candidate windows through the active level) must produce
+// identical counters, round traces and embeddings in identical order. This is
+// the CI gate behind the --simd flag.
 
 namespace fast {
 namespace {
@@ -21,11 +28,21 @@ using testing::PaperQuery;
 using testing::SmallLdbcGraph;
 using testing::ToSet;
 
+// One RunKernel at a batch size small enough to cut candidate windows.
+struct KernelResult {
+  KernelCounters counters;
+  std::vector<std::pair<std::uint32_t, std::uint16_t>> trace;  // RoundWork
+  std::vector<Embedding> embeddings;  // in emission order
+};
+
 struct MatchResult {
   Cst cst;
   std::uint64_t count = 0;
   std::vector<Embedding> embeddings;
+  std::vector<KernelResult> kernel;  // one per batch size in kKernelBatches
 };
+
+constexpr std::uint32_t kKernelBatches[] = {7, FpgaConfig{}.max_new_partials};
 
 MatchResult RunWithLevel(simd::Level level, const QueryGraph& q, const Graph& g) {
   EXPECT_TRUE(simd::SetActive(level));
@@ -37,6 +54,18 @@ MatchResult RunWithLevel(simd::Level level, const QueryGraph& q, const Graph& g)
   ResultCollector collector(1 << 20);
   r.count = MatchCstOnCpu(r.cst, order, &collector).value();
   r.embeddings = collector.stored();
+  for (const std::uint32_t no : kKernelBatches) {
+    FpgaConfig config;
+    config.max_new_partials = no;
+    KernelResult k;
+    ResultCollector kernel_collector(1 << 20);
+    std::vector<RoundWork> trace;
+    k.counters =
+        RunKernel(r.cst, order, config, &kernel_collector, &trace).value().counters;
+    for (const RoundWork& w : trace) k.trace.emplace_back(w.new_partials, w.backward_groups);
+    k.embeddings = kernel_collector.stored();
+    r.kernel.push_back(std::move(k));
+  }
   return r;
 }
 
@@ -69,6 +98,16 @@ void CheckAllLevels(const QueryGraph& q, const Graph& g,
         << q.name() << " under " << simd::LevelName(level);
     EXPECT_EQ(ToSet(got.embeddings), ToSet(scalar.embeddings))
         << q.name() << " under " << simd::LevelName(level);
+    for (std::size_t b = 0; b < std::size(kKernelBatches); ++b) {
+      const KernelResult& want = scalar.kernel[b];
+      const KernelResult& have = got.kernel[b];
+      const std::string where = q.name() + " N_o=" +
+                                std::to_string(kKernelBatches[b]) + " under " +
+                                simd::LevelName(level);
+      EXPECT_EQ(have.counters, want.counters) << where;
+      EXPECT_EQ(have.trace, want.trace) << where;
+      EXPECT_EQ(have.embeddings, want.embeddings) << where;  // order-sensitive
+    }
   }
   simd::SetActiveByName("auto");
 }
