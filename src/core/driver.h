@@ -160,8 +160,7 @@ StatusOr<FastRunResult> RunFast(const QueryGraph& q, const Graph& g,
 
 // Runs steps (2)-(6) of the pipeline from a prebuilt CST and matching order,
 // skipping order computation and CST construction. This is the cache-hit
-// path of the service layer: a deserialized CST image re-enters the pipeline
-// here. `order` must be tree-connected with order.root equal to the CST's
+// path of the service layer: a cached CST re-enters the pipeline here. `order` must be tree-connected with order.root equal to the CST's
 // BFS-tree root. `build_seconds` is reported in the result (pass the
 // measured construction time, or 0 when the CST came from a cache).
 // `options.explicit_order` and `options.order_policy` are ignored.

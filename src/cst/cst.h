@@ -117,8 +117,8 @@ class Cst {
 
   // Structural invariant check: offsets monotone, targets strictly sorted and
   // in range, and the two directed lists of every query edge carry the same
-  // candidate pairs (t in N^u_{u'}(p) iff p in N^{u'}_u(t)). Used by tests
-  // and by DeserializeCst on every decoded image.
+  // candidate pairs (t in N^u_{u'}(p) iff p in N^{u'}_u(t)). A test check:
+  // every CST is produced by BuildCst or SubsetCst, which establish it.
   Status Validate() const;
 
   // Whether non-tree candidate adjacency was materialized (true for the
@@ -133,8 +133,8 @@ class Cst {
                                 const CstBuildOptions& options);
   friend StatusOr<Cst> SubsetCst(const Cst& cst,
                                  const std::vector<std::vector<char>>& keep);
-  friend StatusOr<Cst> DeserializeCst(std::shared_ptr<const CstLayout> layout,
-                                      const std::vector<std::uint32_t>& image);
+  // Test-only: assembles hand-made (e.g. deliberately asymmetric) CSTs.
+  friend class CstTestPeer;
 
   std::shared_ptr<const CstLayout> layout_;
   std::vector<std::vector<VertexId>> candidates_;

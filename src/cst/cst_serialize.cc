@@ -1,91 +1,8 @@
 #include "cst/cst_serialize.h"
 
-#include "util/logging.h"
+#include <cstdint>
 
 namespace fast {
-
-std::vector<std::uint32_t> SerializeCst(const Cst& cst) {
-  std::vector<std::uint32_t> image;
-  const std::size_t n = cst.NumQueryVertices();
-  const std::size_t slots = cst.layout().edges().size();
-  image.reserve(cst.SizeWords() + 3 + n + 2 * slots);
-
-  image.push_back(kCstImageMagic);
-  image.push_back(static_cast<std::uint32_t>(n));
-  image.push_back(static_cast<std::uint32_t>(slots));
-  for (VertexId u = 0; u < n; ++u) {
-    const auto cands = cst.Candidates(u);
-    image.push_back(static_cast<std::uint32_t>(cands.size()));
-    image.insert(image.end(), cands.begin(), cands.end());
-  }
-  for (std::size_t s = 0; s < slots; ++s) {
-    const CstEdgeList& el = cst.EdgeList(static_cast<int>(s));
-    image.push_back(static_cast<std::uint32_t>(el.offsets.size()));
-    image.insert(image.end(), el.offsets.begin(), el.offsets.end());
-    image.push_back(static_cast<std::uint32_t>(el.targets.size()));
-    image.insert(image.end(), el.targets.begin(), el.targets.end());
-  }
-  return image;
-}
-
-StatusOr<Cst> DeserializeCst(std::shared_ptr<const CstLayout> layout,
-                             const std::vector<std::uint32_t>& image) {
-  if (layout == nullptr) return Status::InvalidArgument("null layout");
-  std::size_t pos = 0;
-  auto read = [&](const char* what) -> StatusOr<std::uint32_t> {
-    if (pos >= image.size()) {
-      return Status::InvalidArgument(std::string("truncated CST image at ") + what);
-    }
-    return image[pos++];
-  };
-
-  FAST_ASSIGN_OR_RETURN(std::uint32_t magic, read("magic"));
-  if (magic != kCstImageMagic) {
-    return Status::InvalidArgument("bad CST image magic");
-  }
-  FAST_ASSIGN_OR_RETURN(std::uint32_t n, read("arity"));
-  FAST_ASSIGN_OR_RETURN(std::uint32_t slots, read("slot count"));
-  if (n != layout->NumQueryVertices() || slots != layout->edges().size()) {
-    return Status::InvalidArgument("CST image does not match the layout");
-  }
-
-  Cst cst;
-  cst.layout_ = std::move(layout);
-  cst.candidates_.resize(n);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    FAST_ASSIGN_OR_RETURN(std::uint32_t count, read("candidate count"));
-    if (pos + count > image.size()) {
-      return Status::InvalidArgument("truncated candidate set");
-    }
-    cst.candidates_[u].assign(image.begin() + static_cast<std::ptrdiff_t>(pos),
-                              image.begin() + static_cast<std::ptrdiff_t>(pos + count));
-    pos += count;
-  }
-  cst.adj_.resize(slots);
-  for (std::uint32_t s = 0; s < slots; ++s) {
-    FAST_ASSIGN_OR_RETURN(std::uint32_t n_offsets, read("offset count"));
-    if (pos + n_offsets > image.size()) {
-      return Status::InvalidArgument("truncated offsets");
-    }
-    cst.adj_[s].offsets.assign(
-        image.begin() + static_cast<std::ptrdiff_t>(pos),
-        image.begin() + static_cast<std::ptrdiff_t>(pos + n_offsets));
-    pos += n_offsets;
-    FAST_ASSIGN_OR_RETURN(std::uint32_t n_targets, read("target count"));
-    if (pos + n_targets > image.size()) {
-      return Status::InvalidArgument("truncated targets");
-    }
-    cst.adj_[s].targets.assign(
-        image.begin() + static_cast<std::ptrdiff_t>(pos),
-        image.begin() + static_cast<std::ptrdiff_t>(pos + n_targets));
-    pos += n_targets;
-  }
-  if (pos != image.size()) {
-    return Status::InvalidArgument("trailing bytes in CST image");
-  }
-  FAST_RETURN_IF_ERROR(cst.Validate());
-  return cst;
-}
 
 std::size_t CstWireBytes(const Cst& cst) {
   const std::size_t n = cst.NumQueryVertices();

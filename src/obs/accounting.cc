@@ -22,7 +22,7 @@ ResourceAccounts::ResourceAccounts(MetricsRegistry* metrics)
                                         "Submit->dispatch nanoseconds charged");
   plan_cache_bytes_ =
       metrics_->GetCounter("fast_account_plan_cache_bytes_total",
-                           "Serialized plan-image bytes inserted");
+                           "Plan-cache CST wire bytes inserted");
 }
 
 void ResourceAccounts::Charge(const std::string& tenant,
@@ -119,7 +119,7 @@ std::string AccountsToPrometheusText(
          "Submit->dispatch nanoseconds per tenant",
          [](const AccountSnapshot& a) { return a.queue_wait_ns; });
   family("fast_tenant_plan_cache_bytes_total",
-         "Serialized plan-image bytes inserted per tenant",
+         "Plan-cache CST wire bytes inserted per tenant",
          [](const AccountSnapshot& a) { return a.plan_cache_bytes; });
   return out;
 }

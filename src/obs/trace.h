@@ -53,7 +53,8 @@ enum class Span : std::uint8_t {
   kQueue,        // queued, waiting for a worker
   kSnapshot,     // capture the epoch snapshot
   kPlanLookup,   // plan/CST cache probe
-  kCstBuild,     // CST construction (cache miss) or image decode
+  kCstBuild,     // order + CST construction (miss), CST rebuild (order-only
+                 // hit); a full hit records none
   kDeviceWait,   // device mode: partition stream + wait for device rounds
   kDma,          // SIMULATED: PCIe transfer seconds from the device model
   kKernel,       // SIMULATED: kernel seconds from the device model

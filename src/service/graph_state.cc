@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "cst/cst_serialize.h"
 #include "device/device_executor.h"
 #include "obs/profiler.h"
 #include "query/matching_order.h"
@@ -165,68 +164,29 @@ void GraphState::Execute(const CanonicalQuery& canonical,
   }
   Card* card = session.has_value() ? &*session : nullptr;
 
-  StatusOr<FastRunResult> r = Status::Internal("unreachable");
-  bool ran_from_cache = false;
+  // Order from the plan or computed, CST from the plan or built; a miss
+  // inserts the plan it built. Either way the run reads one immutable CST.
+  std::shared_ptr<const CachedPlan> plan;
   if (options_.plan_cache_capacity > 0) {
-    if (trace != nullptr) trace->Begin(obs::Span::kPlanLookup);
-    std::shared_ptr<const CachedPlan> plan;
-    {
-      FAST_PROF_STAGE("plan_lookup");
-      plan = cache_.Lookup(canonical.key, snap.epoch);
-    }
-    if (trace != nullptr) trace->End();
-    if (plan != nullptr) {
-      if (plan->order_only()) {
-        // Order-only hit (the full image was over the byte budget): reuse
-        // the cached matching order and rebuild only the CST against this
-        // request's snapshot.
-        if (run.cancel != nullptr && run.cancel->Cancelled()) {
-          ran_from_cache = true;
-          r = Status::DeadlineExceeded("deadline expired before CST rebuild");
-        } else {
-          if (trace != nullptr) trace->Begin(obs::Span::kCstBuild);
-          Timer build_timer;
-          StatusOr<Cst> cst = Status::Internal("unreachable");
-          {
-            FAST_PROF_STAGE("cst_build");
-            cst = BuildCst(canonical.query, *snap.graph, plan->order.root,
-                           run.cst_build);
-          }
-          if (trace != nullptr) trace->End();
-          if (cst.ok()) {
-            ran_from_cache = true;
-            result->cache_hit = true;
-            r = RunFastWithCst(*cst, plan->order, run,
-                               build_timer.ElapsedSeconds(), card);
-          }
-        }
-      } else {
-        // Cache hit: rebuild the CST from the serialized image (the same
-        // flat words that would cross PCIe), skipping order computation and
-        // Alg. 1 construction entirely. The image decode is this request's
-        // whole "cst_build" phase.
-        if (trace != nullptr) trace->Begin(obs::Span::kCstBuild);
-        StatusOr<Cst> cst = Status::Internal("unreachable");
-        {
-          FAST_PROF_STAGE("cst_build");
-          cst = DeserializeCst(plan->layout, plan->cst_image);
-        }
-        if (trace != nullptr) trace->End();
-        if (cst.ok()) {
-          ran_from_cache = true;
-          result->cache_hit = true;
-          r = RunFastWithCst(*cst, plan->order, run, /*build_seconds=*/0.0,
-                             card);
-        }
-        // A corrupt image falls through to a fresh build below (and its
-        // Insert replaces the bad entry) instead of failing every hit.
-      }
-    }
+    obs::ScopedSpan lookup_span(trace, obs::Span::kPlanLookup);
+    FAST_PROF_STAGE("plan_lookup");
+    plan = cache_.Lookup(canonical.key, snap.epoch);
   }
-  if (!ran_from_cache) {
-    r = BuildAndRun(canonical, snap, run, card, &result->plan_bytes_charged);
+  const bool hit = plan != nullptr;
+  double build_seconds = 0.0;
+  if (!hit || plan->order_only()) {
+    StatusOr<std::shared_ptr<const CachedPlan>> built =
+        BuildPlan(canonical, snap, run, plan.get(), &build_seconds,
+                  &result->plan_bytes_charged);
+    if (!built.ok()) {
+      result->status = built.status();
+      return;
+    }
+    plan = std::move(*built);
   }
-
+  result->cache_hit = hit;
+  StatusOr<FastRunResult> r =
+      RunFastWithCst(*plan->cst, plan->order, run, build_seconds, card);
   if (!r.ok()) {
     result->status = r.status();
     return;
@@ -253,42 +213,36 @@ void GraphState::Execute(const CanonicalQuery& canonical,
   }
 }
 
-StatusOr<FastRunResult> GraphState::BuildAndRun(
+StatusOr<std::shared_ptr<const CachedPlan>> GraphState::BuildPlan(
     const CanonicalQuery& canonical, const GraphSnapshot& snap,
-    const FastRunOptions& run, Card* card, std::uint64_t* plan_bytes_charged) {
-  // Cache miss (or cache disabled): compute the order and build the CST for
-  // the canonical query against this request's snapshot, publish the plan
-  // under the snapshot's epoch, then run the pipeline from it.
+    const FastRunOptions& run, const CachedPlan* order_hit,
+    double* build_seconds, std::uint64_t* plan_bytes_charged) {
+  // One cst_build span covers order computation (on a miss), Alg. 1
+  // construction, and the insert that publishes the plan.
+  obs::ScopedSpan build_span(run.trace, obs::Span::kCstBuild);
+  FAST_PROF_STAGE("cst_build");
   const QueryGraph& q = canonical.query;
   const Graph& g = *snap.graph;
-  // One cst_build span covers order computation, Alg. 1 construction, and
-  // the serialize+insert that publishes the plan; an early error return
-  // leaves the span open and RequestTrace::Finish closes it.
-  if (run.trace != nullptr) run.trace->Begin(obs::Span::kCstBuild);
-  // Optional so the stage closes before the run (whose own stages must not
-  // nest under cst_build); early error returns destroy it too.
-  std::optional<obs::StageScope> build_stage;
-  build_stage.emplace("cst_build");
-  FAST_ASSIGN_OR_RETURN(MatchingOrder order,
-                        ComputeMatchingOrder(q, g, run.order_policy));
+  auto plan = std::make_shared<CachedPlan>();
+  if (order_hit != nullptr) {
+    plan->order = order_hit->order;
+  } else {
+    FAST_ASSIGN_OR_RETURN(plan->order,
+                          ComputeMatchingOrder(q, g, run.order_policy));
+  }
   if (run.cancel != nullptr && run.cancel->Cancelled()) {
     return Status::DeadlineExceeded("deadline expired before CST build");
   }
   Timer build_timer;
-  FAST_ASSIGN_OR_RETURN(Cst cst, BuildCst(q, g, order.root, run.cst_build));
-  const double build_seconds = build_timer.ElapsedSeconds();
-
-  if (options_.plan_cache_capacity > 0) {
-    auto plan = std::make_shared<CachedPlan>();
-    plan->order = order;
-    plan->layout = cst.layout_ptr();
-    plan->cst_image = SerializeCst(cst);
-    *plan_bytes_charged = plan->ImageBytes();
-    cache_.Insert(canonical.key, snap.epoch, std::move(plan));
+  FAST_ASSIGN_OR_RETURN(Cst cst, BuildCst(q, g, plan->order.root, run.cst_build));
+  *build_seconds = build_timer.ElapsedSeconds();
+  plan->cst = std::make_shared<const Cst>(std::move(cst));
+  // An order-only hit keeps its entry: the rebuilt CST is over the budget.
+  if (order_hit == nullptr && options_.plan_cache_capacity > 0) {
+    *plan_bytes_charged = plan->Bytes();
+    cache_.Insert(canonical.key, snap.epoch, plan);
   }
-  if (run.trace != nullptr) run.trace->End();
-  build_stage.reset();
-  return RunFastWithCst(cst, order, run, build_seconds, card);
+  return std::shared_ptr<const CachedPlan>(std::move(plan));
 }
 
 }  // namespace fast::service

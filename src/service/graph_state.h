@@ -99,8 +99,8 @@ struct RequestResult {
   std::uint64_t graph_epoch = 0;
   double queue_seconds = 0.0;  // Submit -> dispatch
   double total_seconds = 0.0;  // Submit -> completion
-  // Serialized CST image bytes this request inserted into the plan cache
-  // (0 on a hit or with caching off) — the plan-cache dimension of the
+  // Wire bytes (CstWireBytes) of the CST this request inserted into the plan
+  // cache (0 on a hit or with caching off) — the plan-cache dimension of the
   // request's resource-account charge (obs/accounting.h).
   std::uint64_t plan_bytes_charged = 0;
   // Per-span latency breakdown of this request (obs/trace.h); null when the
@@ -112,7 +112,7 @@ struct RequestResult {
 struct GraphStateOptions {
   // Plan/CST cache entries; 0 disables caching.
   std::size_t plan_cache_capacity = 64;
-  // Byte bound on the summed serialized-CST images; 0 = entries-only bound.
+  // Byte bound on the summed wire bytes of cached CSTs; 0 = entries-only.
   std::size_t plan_cache_byte_budget = 0;
   // Fairness-queue key on a shared device executor (the tenant id when this
   // state serves one tenant of a TenantRouter). Only used in device mode.
@@ -180,10 +180,14 @@ class GraphState {
                const GraphSnapshot& snap, const FastRunOptions& base_run,
                const CancelToken* cancel, device::DeviceExecutor* device,
                obs::RequestTrace* trace, RequestResult* result);
-  StatusOr<FastRunResult> BuildAndRun(const CanonicalQuery& canonical,
-                                      const GraphSnapshot& snap,
-                                      const FastRunOptions& run, Card* card,
-                                      std::uint64_t* plan_bytes_charged);
+  // Builds the plan a request runs when the cache has no CST for it: the
+  // order from `order_hit` (an order-only entry) or computed, then the CST
+  // against `snap`. A miss (null `order_hit`) inserts the plan under the
+  // snapshot's epoch and reports its byte charge.
+  StatusOr<std::shared_ptr<const CachedPlan>> BuildPlan(
+      const CanonicalQuery& canonical, const GraphSnapshot& snap,
+      const FastRunOptions& run, const CachedPlan* order_hit,
+      double* build_seconds, std::uint64_t* plan_bytes_charged);
   std::uint64_t Publish(Graph next);
 
   const GraphStateOptions options_;

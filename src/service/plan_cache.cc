@@ -2,7 +2,13 @@
 
 #include <utility>
 
+#include "cst/cst_serialize.h"
+
 namespace fast::service {
+
+std::size_t CachedPlan::Bytes() const {
+  return cst == nullptr ? 0 : CstWireBytes(*cst);
+}
 
 void PlanCache::BindMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) return;
@@ -21,19 +27,19 @@ void PlanCache::BindMetrics(obs::MetricsRegistry* registry) {
   entries_gauge_ = registry->GetGauge("fast_plan_cache_entries",
                                       "Live plan cache entries (all caches)");
   bytes_gauge_ = registry->GetGauge(
-      "fast_plan_cache_bytes", "Serialized-CST bytes cached (all caches)");
+      "fast_plan_cache_bytes", "CST wire bytes cached (all caches)");
 }
 
 void PlanCache::EraseLocked(std::unordered_map<std::string, Entry>::iterator it,
                             std::uint64_t* counter) {
-  const std::size_t image_bytes = it->second.plan->ImageBytes();
-  stats_.bytes_in_use -= image_bytes;
+  const std::size_t bytes = it->second.plan->Bytes();
+  stats_.bytes_in_use -= bytes;
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
   ++*counter;
   if (entries_gauge_ != nullptr) {
     entries_gauge_->Add(-1.0);
-    bytes_gauge_->Add(-static_cast<double>(image_bytes));
+    bytes_gauge_->Add(-static_cast<double>(bytes));
     (counter == &stats_.evictions ? evictions_counter_ : invalidations_counter_)
         ->Increment();
   }
@@ -88,13 +94,15 @@ void PlanCache::Insert(const std::string& key, std::uint64_t epoch,
   // snapshot) can never serve anyone — dropping it here keeps it from
   // entering at the MRU position and evicting a live current-epoch entry.
   if (epoch < min_epoch_) return;
-  if (byte_budget_ > 0 && plan->ImageBytes() > byte_budget_) {
-    // Demote to an order-only entry: the image would evict the whole cache,
+  std::size_t bytes = plan->Bytes();
+  if (byte_budget_ > 0 && bytes > byte_budget_) {
+    // Demote to an order-only entry: the CST would evict the whole cache,
     // but the matching order costs a few words and a hit on it still skips
     // order computation (the CST is rebuilt on hit).
     auto demoted = std::make_shared<CachedPlan>();
     demoted->order = plan->order;
     plan = std::move(demoted);
+    bytes = 0;
     ++stats_.rejected_oversized;
   }
   auto it = entries_.find(key);
@@ -102,24 +110,24 @@ void PlanCache::Insert(const std::string& key, std::uint64_t epoch,
     // Never replace a fresher plan with one a draining old-epoch request
     // just built — that would thrash the slot around every swap.
     if (it->second.epoch > epoch) return;
-    const auto old_bytes = static_cast<double>(it->second.plan->ImageBytes());
-    stats_.bytes_in_use -= it->second.plan->ImageBytes();
-    stats_.bytes_in_use += plan->ImageBytes();
+    const std::size_t old_bytes = it->second.plan->Bytes();
+    stats_.bytes_in_use -= old_bytes;
+    stats_.bytes_in_use += bytes;
     if (bytes_gauge_ != nullptr) {
-      bytes_gauge_->Add(static_cast<double>(plan->ImageBytes()) - old_bytes);
+      bytes_gauge_->Add(static_cast<double>(bytes) - static_cast<double>(old_bytes));
       insertions_counter_->Increment();
     }
     it->second.plan = std::move(plan);
     it->second.epoch = epoch;
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     ++stats_.insertions;
-    EvictToFitLocked();  // the replacement image may be larger
+    EvictToFitLocked();  // the replacement CST may be larger
     return;
   }
   lru_.push_front(key);
-  stats_.bytes_in_use += plan->ImageBytes();
+  stats_.bytes_in_use += bytes;
   if (bytes_gauge_ != nullptr) {
-    bytes_gauge_->Add(static_cast<double>(plan->ImageBytes()));
+    bytes_gauge_->Add(static_cast<double>(bytes));
     entries_gauge_->Add(1.0);
     insertions_counter_->Increment();
   }

@@ -4,11 +4,13 @@
 // Thread-safe LRU cache of query plans for the match service.
 //
 // A plan is everything RunFastWithCst needs that does not depend on the
-// request: the matching order and the serialized CST image (the same flat
-// word image that crosses PCIe, src/cst/cst_serialize.h), both expressed in
-// the canonical query numbering of the cache key. A hit replaces order
+// request: the matching order and the built CST, both expressed in the
+// canonical query numbering of the cache key. A hit replaces order
 // computation and CST construction — typically the dominant host-side cost
-// for repeated query shapes — with one DeserializeCst pass over the image.
+// for repeated query shapes — and hands the cached CST to the pipeline as
+// is: the CST is immutable and shared, so concurrent hits only read it.
+// Each plan is charged its CST's wire size (CstWireBytes, the bytes that
+// would cross PCIe) against the byte budget.
 //
 // Plans are data-dependent: the CST enumerates candidate vertices of the
 // data graph, so a plan built against one graph snapshot is garbage against
@@ -29,29 +31,28 @@
 #include <list>
 #include <memory>
 #include <mutex>
-
-#include "util/profiled_mutex.h"
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "cst/cst.h"
 #include "obs/metrics.h"
 #include "query/matching_order.h"
+#include "util/profiled_mutex.h"
 
 namespace fast::service {
 
 struct CachedPlan {
-  MatchingOrder order;                        // canonical numbering
-  std::shared_ptr<const CstLayout> layout;    // canonical query + root
-  std::vector<std::uint32_t> cst_image;       // SerializeCst output
+  MatchingOrder order;             // canonical numbering
+  std::shared_ptr<const Cst> cst;  // built on the entry's epoch
 
-  std::size_t ImageBytes() const { return cst_image.size() * sizeof(std::uint32_t); }
+  // Order-only entry: the plan's CST exceeded the byte budget, so only the
+  // matching order is cached (cst is null). A hit skips order computation;
+  // the CST is rebuilt against the request's snapshot.
+  bool order_only() const { return cst == nullptr; }
 
-  // Order-only entry: the plan's CST image exceeded the byte budget, so only
-  // the matching order is cached (layout is null). A hit skips order
-  // computation; the CST is rebuilt against the request's snapshot.
-  bool order_only() const { return cst_image.empty(); }
+  // Byte charge against the cache budget: CstWireBytes(*cst), 0 when
+  // order-only.
+  std::size_t Bytes() const;
 };
 
 struct PlanCacheStats {
@@ -60,10 +61,10 @@ struct PlanCacheStats {
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;      // LRU capacity or byte-budget pressure
   std::uint64_t invalidations = 0;  // dropped for a superseded epoch
-  std::uint64_t rejected_oversized = 0;  // images over the budget (demoted)
+  std::uint64_t rejected_oversized = 0;  // CSTs over the budget (demoted)
   std::uint64_t order_only_hits = 0;  // hits that only skipped the order
   std::size_t entries = 0;
-  std::size_t bytes_in_use = 0;  // total serialized-CST footprint
+  std::size_t bytes_in_use = 0;  // summed CstWireBytes of cached CSTs
   std::size_t byte_budget = 0;   // configured bound; 0 = entries-only bound
 
   double HitRate() const {
@@ -76,14 +77,13 @@ class PlanCache {
  public:
   // capacity = max entries; 0 disables caching (Lookup always misses,
   // Insert is a no-op), which is the bench's cache-off baseline.
-  // byte_budget bounds the summed serialized-CST image bytes in addition to
-  // the entry count (hub-heavy queries produce images orders of magnitude
-  // larger than typical, so an entry bound alone does not bound memory);
-  // 0 = no byte bound. A single plan larger than the whole budget is demoted
-  // to an order-only entry — evicting every live entry to admit one query's
-  // image would thrash the cache, but the order (a few words) is always
-  // worth keeping: a hit still skips order computation, rebuilding only the
-  // CST.
+  // byte_budget bounds the summed CST wire bytes in addition to the entry
+  // count (hub-heavy queries produce CSTs orders of magnitude larger than
+  // typical, so an entry bound alone does not bound memory); 0 = no byte
+  // bound. A single plan larger than the whole budget is demoted to an
+  // order-only entry — evicting every live entry to admit one query's CST
+  // would thrash the cache, but the order (a few words) is always worth
+  // keeping: a hit still skips order computation, rebuilding only the CST.
   explicit PlanCache(std::size_t capacity, std::size_t byte_budget = 0)
       : capacity_(capacity), byte_budget_(byte_budget) {}
 

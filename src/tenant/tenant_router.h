@@ -89,7 +89,7 @@ struct TenantOptions {
   // Plan/CST cache entries; 0 disables caching.
   std::size_t plan_cache_capacity = 64;
 
-  // Byte bound on the summed serialized-CST cache images; 0 = entries-only.
+  // Byte bound on the summed wire bytes of cached CSTs; 0 = entries-only.
   std::size_t plan_cache_byte_budget = 0;
 
   // Per-tenant admission quota: max requests queued (not yet dispatched)

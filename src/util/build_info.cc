@@ -1,5 +1,11 @@
 #include "util/build_info.h"
 
+// Generated at build time (cmake/build_sha.cmake); absent outside a CMake
+// build, where the sha falls back to "unknown".
+#if __has_include("fast_build_sha.h")
+#include "fast_build_sha.h"
+#endif
+
 #ifndef FAST_BUILD_GIT_SHA
 #define FAST_BUILD_GIT_SHA "unknown"
 #endif

@@ -1,9 +1,11 @@
 #ifndef FAST_UTIL_BUILD_INFO_H_
 #define FAST_UTIL_BUILD_INFO_H_
 
-// Build/version stamp, populated by CMake at configure time (git sha, build
-// type, compiler) via per-file compile definitions on build_info.cc — only
-// that one translation unit recompiles when the stamp changes. Surfaced in
+// Build/version stamp. The git sha is read at build time into a generated
+// header (cmake/build_sha.cmake), so a reused build directory always reports
+// the commit it built; build type and compiler come from configure-time
+// compile definitions on build_info.cc. Only that one translation unit
+// recompiles when the stamp changes. Surfaced in
 // the admin plane's /varz endpoint, the fast_serve startup log line, and
 // every bench JSON, so a perf number or a flight-recorder dump can always be
 // traced back to the exact build that produced it.

@@ -242,10 +242,10 @@ TEST(SubsetCstTest, RejectsWrongMaskSize) {
 
 // ---- Validate: directed-pair symmetry ----
 
-// Every CST the pipeline produces -- built, partitioned by Alg. 2, and
-// decoded from a plan-cache image -- carries the same pairs in both
-// directions of each query edge, which the emulated Edge Validator relies on.
-TEST(CstValidateTest, BuiltPartitionedAndDecodedCstsAreSymmetric) {
+// Every CST the pipeline produces -- built, and partitioned by Alg. 2 --
+// carries the same pairs in both directions of each query edge, which the
+// emulated Edge Validator relies on.
+TEST(CstValidateTest, BuiltAndPartitionedCstsAreSymmetric) {
   const Graph g = SmallLdbcGraph();
   for (int qi = 0; qi < kNumLdbcQueries; ++qi) {
     const QueryGraph q = LdbcQuery(qi).value();
@@ -259,23 +259,30 @@ TEST(CstValidateTest, BuiltPartitionedAndDecodedCstsAreSymmetric) {
     ASSERT_GT(parts.size(), 1u) << q.name();
     for (const Cst& part : parts) {
       ASSERT_TRUE(part.Validate().ok()) << q.name() << ": " << part.Validate();
-      auto decoded = DeserializeCst(part.layout_ptr(), SerializeCst(part));
-      ASSERT_TRUE(decoded.ok()) << q.name() << ": " << decoded.status();
     }
   }
 }
 
-// A one-edge query whose two directed lists have equal pair counts but
-// different pairs: N^0_1 = {p0->t0, p1->t1}, while N^1_0 claims
-// {t0->p1, t1->p0} (or, when symmetric, {t0->p0, t1->p1}).
-std::vector<std::uint32_t> OneEdgeImage(bool symmetric) {
-  const std::uint32_t t0 = symmetric ? 0 : 1;
-  return {kCstImageMagic, 2, 2,        // magic, |V(q)|, slots
-          2, 10, 11,                   // C(0)
-          2, 20, 21,                   // C(1)
-          3, 0, 1, 2, 2, 0, 1,         // N^0_1: offsets, targets
-          3, 0, 1, 2, 2, t0, 1 - t0};  // N^1_0
-}
+}  // namespace
+
+// Assembles CSTs by hand; a friend of Cst (cst.h).
+class CstTestPeer {
+ public:
+  // A one-edge query whose two directed lists have equal pair counts but
+  // different pairs: N^0_1 = {p0->t0, p1->t1}, while N^1_0 claims
+  // {t0->p1, t1->p0} (or, when symmetric, {t0->p0, t1->p1}).
+  static Cst OneEdge(std::shared_ptr<const CstLayout> layout, bool symmetric) {
+    const std::uint32_t t0 = symmetric ? 0 : 1;
+    Cst cst;
+    cst.layout_ = std::move(layout);
+    cst.candidates_ = {{10, 11}, {20, 21}};
+    cst.adj_ = {CstEdgeList{{0, 1, 2}, {0, 1}},         // N^0_1
+                CstEdgeList{{0, 1, 2}, {t0, 1 - t0}}};  // N^1_0
+    return cst;
+  }
+};
+
+namespace {
 
 TEST(CstValidateTest, EqualCountsButMismatchedPairsFail) {
   GraphBuilder b;
@@ -287,11 +294,21 @@ TEST(CstValidateTest, EqualCountsButMismatchedPairsFail) {
   ASSERT_EQ(layout->SlotOf(0, 1), 0);
   ASSERT_EQ(layout->SlotOf(1, 0), 1);
 
-  EXPECT_TRUE(DeserializeCst(layout, OneEdgeImage(/*symmetric=*/true)).ok());
-  const auto bad = DeserializeCst(layout, OneEdgeImage(/*symmetric=*/false));
+  EXPECT_TRUE(CstTestPeer::OneEdge(layout, /*symmetric=*/true).Validate().ok());
+  const Status bad = CstTestPeer::OneEdge(layout, /*symmetric=*/false).Validate();
   ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.status().message().find("asymmetry"), std::string::npos)
-      << bad.status();
+  EXPECT_NE(bad.message().find("asymmetry"), std::string::npos) << bad;
+}
+
+// ---- Wire size (cst_serialize.h) ----
+
+TEST(CstSerializeTest, WireBytesTracksSizeWords) {
+  Cst cst = BuildCst(PaperQuery(), PaperDataGraph(), 0).value();
+  EXPECT_GT(CstWireBytes(cst), cst.SizeBytes());
+  // Header + per-array length prefixes only.
+  const std::size_t overhead =
+      (3 + cst.NumQueryVertices() + 2 * cst.layout().edges().size()) * 4;
+  EXPECT_EQ(CstWireBytes(cst), cst.SizeBytes() + overhead);
 }
 
 TEST(CstSummaryTest, MentionsSizeAndDegree) {

@@ -4,14 +4,18 @@
 // correctness under concurrency, cache eviction, deadlines, and admission
 // control.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
+#include <random>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cst/cst_serialize.h"
 #include "service/plan_cache.h"
 #include "service/query_signature.h"
 #include "tenant/tenant_router.h"
@@ -31,6 +35,7 @@ using testing::BruteForceCount;
 using testing::BruteForceEmbeddings;
 using testing::PaperDataGraph;
 using testing::PaperQuery;
+using testing::SmallLdbcGraph;
 using testing::ToSet;
 
 // Relabels q's vertices by perm: new vertex perm[u] = old vertex u.
@@ -230,36 +235,43 @@ TEST(PlanCacheTest, StaleInsertAfterInvalidateCannotEvictLiveEntries) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-std::shared_ptr<service::CachedPlan> PlanWithImageWords(std::size_t words) {
+// A plan holding a copy of `cst`; its byte charge is CstWireBytes(cst).
+std::shared_ptr<service::CachedPlan> PlanWithCst(const Cst& cst) {
   auto p = std::make_shared<service::CachedPlan>();
-  p->cst_image.assign(words, 0);
+  p->cst = std::make_shared<const Cst>(cst);
   return p;
 }
 
 TEST(PlanCacheTest, ByteBudgetEvictsLruBeyondBytes) {
-  // Entry capacity 8 never binds here; the 400-byte budget does.
-  PlanCache cache(8, /*byte_budget=*/100 * sizeof(std::uint32_t));
-  cache.Insert("a", 1, PlanWithImageWords(40));
-  cache.Insert("b", 1, PlanWithImageWords(40));
-  EXPECT_NE(cache.Lookup("a", 1), nullptr);      // refresh a; b becomes LRU
-  cache.Insert("c", 1, PlanWithImageWords(40));  // 480B > 400B: evict b
+  const Cst cst = BuildCst(PaperQuery(), PaperDataGraph(), 0).value();
+  const std::size_t w = CstWireBytes(cst);
+  // Entry capacity 8 never binds here; the 2.5-plan budget does.
+  PlanCache cache(8, /*byte_budget=*/5 * w / 2);
+  cache.Insert("a", 1, PlanWithCst(cst));
+  cache.Insert("b", 1, PlanWithCst(cst));
+  EXPECT_NE(cache.Lookup("a", 1), nullptr);  // refresh a; b becomes LRU
+  cache.Insert("c", 1, PlanWithCst(cst));    // 3w > 2.5w: evict b
   EXPECT_EQ(cache.Lookup("b", 1), nullptr);
   EXPECT_NE(cache.Lookup("a", 1), nullptr);
   EXPECT_NE(cache.Lookup("c", 1), nullptr);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.bytes_in_use, 80 * sizeof(std::uint32_t));
-  EXPECT_EQ(stats.byte_budget, 100 * sizeof(std::uint32_t));
+  EXPECT_EQ(stats.bytes_in_use, 2 * w);
+  EXPECT_EQ(stats.byte_budget, 5 * w / 2);
 }
 
 TEST(PlanCacheTest, OversizedPlanDemotedToOrderOnly) {
-  // A single image larger than the whole budget must not wipe the cache to
+  // A single CST larger than the whole budget must not wipe the cache to
   // admit itself — but the matching order (a few words) is kept, so a hit
   // still skips order computation.
-  PlanCache cache(8, /*byte_budget=*/100 * sizeof(std::uint32_t));
-  cache.Insert("small", 1, PlanWithImageWords(30));
-  auto big = PlanWithImageWords(200);
+  const Cst small_cst = BuildCst(PaperQuery(), PaperDataGraph(), 0).value();
+  const Cst big_cst = BuildCst(LdbcQuery(0).value(), SmallLdbcGraph(), 0).value();
+  const std::size_t small_bytes = CstWireBytes(small_cst);
+  ASSERT_GT(CstWireBytes(big_cst), 2 * small_bytes);
+  PlanCache cache(8, /*byte_budget=*/2 * small_bytes);
+  cache.Insert("small", 1, PlanWithCst(small_cst));
+  auto big = PlanWithCst(big_cst);
   big->order.root = 3;
   big->order.order = {3, 1, 2, 0};
   cache.Insert("big", 1, big);
@@ -269,15 +281,49 @@ TEST(PlanCacheTest, OversizedPlanDemotedToOrderOnly) {
   EXPECT_TRUE(hit->order_only());
   EXPECT_EQ(hit->order.root, 3u);
   EXPECT_EQ(hit->order.order, big->order.order);
-  EXPECT_NE(cache.Lookup("small", 1), nullptr);  // untouched, full image
+  EXPECT_NE(cache.Lookup("small", 1), nullptr);  // untouched, full CST
   EXPECT_FALSE(cache.Lookup("small", 1)->order_only());
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.rejected_oversized, 1u);
   EXPECT_EQ(stats.order_only_hits, 1u);
-  // Order-only entries carry no image bytes: only "small" counts.
-  EXPECT_EQ(stats.bytes_in_use, 30 * sizeof(std::uint32_t));
+  // Order-only entries carry no CST bytes: only "small" counts.
+  EXPECT_EQ(stats.bytes_in_use, small_bytes);
+}
+
+TEST(PlanCacheTest, HitHandsOutTheInsertedCstUncopied) {
+  // A hit returns the very CST the miss built: no decode, no copy.
+  const Cst cst = BuildCst(PaperQuery(), PaperDataGraph(), 0).value();
+  PlanCache cache(4, /*byte_budget=*/4 * CstWireBytes(cst));
+  auto plan = PlanWithCst(cst);
+  const Cst* inserted = plan->cst.get();
+  cache.Insert("a", 1, plan);
+  const auto hit = cache.Lookup("a", 1);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_FALSE(hit->order_only());
+  EXPECT_EQ(hit->cst.get(), inserted);
+  EXPECT_EQ(hit->Bytes(), CstWireBytes(cst));
+  EXPECT_EQ(cache.stats().bytes_in_use, CstWireBytes(cst));
+}
+
+TEST(PlanCacheTest, EvictedPlanStaysValidForItsHolder) {
+  // A request that looked a plan up keeps reading its CST after another
+  // insert evicts the entry; only the cache's byte charge is released.
+  const Cst small_cst = BuildCst(PaperQuery(), PaperDataGraph(), 0).value();
+  const Cst big_cst = BuildCst(LdbcQuery(0).value(), SmallLdbcGraph(), 0).value();
+  PlanCache cache(1);
+  cache.Insert("a", 1, PlanWithCst(big_cst));
+  const auto held = cache.Lookup("a", 1);
+  ASSERT_NE(held, nullptr);
+  cache.Insert("b", 1, PlanWithCst(small_cst));  // capacity 1: evicts a
+  EXPECT_EQ(cache.Lookup("a", 1), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().bytes_in_use, CstWireBytes(small_cst));
+
+  ASSERT_TRUE(held->cst->Validate().ok());
+  EXPECT_EQ(held->cst->SizeWords(), big_cst.SizeWords());
+  EXPECT_EQ(held->cst->TotalCandidates(), big_cst.TotalCandidates());
 }
 
 TEST(PlanCacheTest, InvalidateBeforeDropsOldEpochsOnly) {
@@ -515,7 +561,7 @@ TEST(OneTenantRouterTest, OrderOnlyCacheHitRebuildsCstCorrectly) {
   const Graph g = PaperDataGraph();
   const QueryGraph q = PaperQuery();
   TenantOptions topts = SmallTenantOptions();
-  topts.plan_cache_byte_budget = 8;  // every image oversized → order-only
+  topts.plan_cache_byte_budget = 8;  // every CST oversized → order-only
   TenantRouter svc(SmallRouterOptions(2));
   ASSERT_TRUE(svc.AddTenant(kGraph, g, topts).ok());
 
@@ -528,14 +574,40 @@ TEST(OneTenantRouterTest, OrderOnlyCacheHitRebuildsCstCorrectly) {
   EXPECT_TRUE(hit->cache_hit);
   EXPECT_EQ(hit->run.embeddings, BruteForceCount(q, g));
   EXPECT_EQ(hit->run.order.order, miss->run.order.order);  // cached order
-  // The CST was rebuilt, not deserialized: build time is real again.
+  // The CST was rebuilt, not taken from the cache: build time is real.
   EXPECT_GT(hit->run.build_seconds, 0.0);
 
   const auto stats = svc.stats();
   EXPECT_EQ(stats.tenants[0].cache.rejected_oversized, 1u);
   EXPECT_EQ(stats.tenants[0].cache.order_only_hits, 1u);
   EXPECT_EQ(stats.tenants[0].cache.entries, 1u);
-  EXPECT_EQ(stats.tenants[0].cache.bytes_in_use, 0u);  // order-only carries no image
+  EXPECT_EQ(stats.tenants[0].cache.bytes_in_use, 0u);  // order-only carries no CST
+}
+
+// The plan-cache dimension of a request's cost: the miss that inserts a
+// plan is charged its CST's wire bytes, exactly what the cache holds; a hit
+// inserts nothing and is charged nothing.
+TEST(OneTenantRouterTest, MissIsChargedCachedBytesAndHitNothing) {
+  const Graph g = SmallLdbcGraph();
+  const QueryGraph q = LdbcQuery(2).value();
+  std::vector<VertexId> perm(q.NumVertices());
+  std::iota(perm.rbegin(), perm.rend(), VertexId{0});  // reversed numbering
+  TenantRouter svc(SmallRouterOptions(1));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
+
+  auto miss = svc.SubmitAndWait(kGraph, q);
+  ASSERT_TRUE(miss.ok() && miss->status.ok());
+  EXPECT_FALSE(miss->cache_hit);
+  const std::size_t cached = svc.stats().tenants[0].cache.bytes_in_use;
+  EXPECT_GT(cached, 0u);
+  EXPECT_EQ(miss->plan_bytes_charged, cached);
+
+  auto hit = svc.SubmitAndWait(kGraph, PermuteQuery(q, perm, "q2-permuted"));
+  ASSERT_TRUE(hit.ok() && hit->status.ok());
+  EXPECT_TRUE(hit->cache_hit);
+  EXPECT_EQ(hit->plan_bytes_charged, 0u);
+  EXPECT_EQ(hit->run.embeddings, miss->run.embeddings);
+  EXPECT_EQ(svc.stats().tenants[0].cache.bytes_in_use, cached);
 }
 
 RouterOptions DeviceRouterOptions(std::size_t workers) {
@@ -627,6 +699,101 @@ TEST(OneTenantRouterTest, DeviceModeDeadlineExpiringMidRunAborts) {
   auto ok = svc.SubmitAndWait(kGraph, TriangleQuery());
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok->run.embeddings, 30u);
+}
+
+// A random relabelling of q's vertices (a permutation drawn from `rng`).
+QueryGraph RandomRelabel(const QueryGraph& q, std::mt19937* rng) {
+  std::vector<VertexId> perm(q.NumVertices());
+  std::iota(perm.begin(), perm.end(), VertexId{0});
+  std::shuffle(perm.begin(), perm.end(), *rng);
+  return PermuteQuery(q, perm, q.name() + "-relabelled");
+}
+
+// A full hit runs the cached CST as is: for every LDBC query, the hit on a
+// relabelled submission reproduces the miss's run bit for bit, on the inline
+// and on the shared-device path, and its embeddings come back in the
+// relabelled numbering.
+TEST(OneTenantRouterTest, FullHitReproducesColdRunBitForBit) {
+  const Graph g = SmallLdbcGraph();
+  std::mt19937 rng(16);
+  for (const bool device : {false, true}) {
+    RouterOptions options = device ? DeviceRouterOptions(1) : SmallRouterOptions(1);
+    // A small BRAM budget splits every CST into several partitions, and the
+    // inline path keeps a δ-share of them on the host (device mode runs
+    // without one).
+    options.run.partition.max_size_words = 256;
+    options.run.cpu_share_delta = 0.3;
+    // One partition per device round: how a run's partitions fall into
+    // batched rounds depends on thread timing, and with it the share of the
+    // per-round transfer cost in dma_bytes and pcie_seconds.
+    options.device.max_batch_items = 1;
+    TenantRouter svc(options);
+    ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
+    for (int qi = 0; qi < kNumLdbcQueries; ++qi) {
+      const QueryGraph q = LdbcQuery(qi).value();
+      const QueryGraph relabelled = RandomRelabel(q, &rng);
+      const std::vector<Embedding> truth = BruteForceEmbeddings(relabelled, g);
+      RequestOptions opts;
+      opts.store_limit = truth.size();
+      SCOPED_TRACE(q.name() + (device ? " device" : " inline"));
+
+      auto cold = svc.SubmitAndWait(kGraph, q, opts);
+      ASSERT_TRUE(cold.ok() && cold->status.ok());
+      EXPECT_FALSE(cold->cache_hit);
+      auto hot = svc.SubmitAndWait(kGraph, relabelled, opts);
+      ASSERT_TRUE(hot.ok() && hot->status.ok());
+      EXPECT_TRUE(hot->cache_hit);
+
+      const FastRunResult& a = cold->run;
+      const FastRunResult& b = hot->run;
+      EXPECT_EQ(b.embeddings, a.embeddings);
+      EXPECT_EQ(b.counters, a.counters);
+      EXPECT_EQ(b.partition_stats, a.partition_stats);
+      EXPECT_EQ(b.cpu_partitions, a.cpu_partitions);
+      EXPECT_EQ(b.fpga_partitions, a.fpga_partitions);
+      EXPECT_EQ(b.kernel_seconds, a.kernel_seconds);
+      EXPECT_EQ(b.pcie_seconds, a.pcie_seconds);
+      EXPECT_EQ(b.dma_bytes, a.dma_bytes);
+      EXPECT_EQ(b.build_seconds, 0.0);
+      EXPECT_EQ(ToSet(b.sample_embeddings), ToSet(truth));
+    }
+  }
+}
+
+// Concurrent hits share one cached CST: several clients on four workers
+// submit differently relabelled copies of one query; every request after the
+// cold one hits and counts exactly what the cold run counted. Under TSan this
+// checks that the shared CST is only ever read.
+TEST(OneTenantRouterTest, ConcurrentHitsShareOneCachedCst) {
+  const Graph g = SmallLdbcGraph();
+  const QueryGraph q = LdbcQuery(4).value();
+  TenantRouter svc(SmallRouterOptions(4));
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
+  auto cold = svc.SubmitAndWait(kGraph, q);
+  ASSERT_TRUE(cold.ok() && cold->status.ok());
+  const std::uint64_t expected = cold->run.embeddings;
+
+  constexpr int kClients = 6;
+  constexpr int kRequestsPerClient = 8;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      std::mt19937 rng(static_cast<std::uint32_t>(c));
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        auto r = svc.SubmitAndWait(kGraph, RandomRelabel(q, &rng));
+        if (!r.ok() || !r->status.ok() || !r->cache_hit ||
+            r->run.embeddings != expected) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto cache = svc.stats().tenants[0].cache;
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.hits, static_cast<std::uint64_t>(kClients) * kRequestsPerClient);
 }
 
 TEST(OneTenantRouterTest, FullQueueRejectsSubmit) {

@@ -10,6 +10,11 @@
 //              [--clients 4] [--cache-size 64] [--queue 256]
 //              [--deadline-ms 0] [--delta 0.1] [--variant sep] [--no-cache]
 //
+//   --cache-bytes B       byte bound per graph on the cached CSTs, each
+//                         charged at its wire size (CstWireBytes); 0 = entries
+//                         only. A CST over the whole bound is cached
+//                         order-only (its CST is rebuilt on every hit).
+//
 // One-shot mode: --once runs each query exactly once and prints its count
 // and latency (useful for smoke tests and scripting).
 //
