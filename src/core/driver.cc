@@ -138,7 +138,9 @@ StatusOr<FastRunResult> RunFast(const QueryGraph& q, const Graph& g,
 
 StatusOr<FastRunResult> RunFastWithCst(const Cst& cst, const MatchingOrder& order,
                                        const FastRunOptions& options,
-                                       double build_seconds, Card* card) {
+                                       double build_seconds, Card* card,
+                                       const PartitionPlan* replay,
+                                       PartitionPlan* record) {
   FAST_RETURN_IF_ERROR(ValidateRunOptions(options));
   InlineCards private_card(1, options.fpga, options.variant);
   if (card == nullptr) card = &private_card;
@@ -172,37 +174,62 @@ StatusOr<FastRunResult> RunFastWithCst(const Cst& cst, const MatchingOrder& orde
     result.partition_stats.total_size_words = cst.SizeWords();
     result.partition_stats.max_partition_words = cst.SizeWords();
     partition_status = card->Submit(cst);
+  } else if (replay != nullptr) {
+    // Alg. 2 already ran on this CST and config: rebuild its partitions from
+    // the root, in emission order, to the card or the host queue it chose.
+    Timer partition_timer;
+    for (std::size_t i = 0; i < replay->size() && partition_status.ok(); ++i) {
+      StatusOr<Cst> part = SubsetCst(cst, replay->Partition(i));
+      if (!part.ok()) {
+        partition_status = part.status();
+      } else if (replay->on_cpu[i]) {
+        cpu_queue.push_back(std::move(*part));
+      } else {
+        partition_status = card->Submit(std::move(*part));
+      }
+    }
+    result.partition_stats = replay->stats;
+    w_cpu = replay->w_cpu;
+    w_fpga = replay->w_fpga;
+    result.partition_seconds = partition_timer.ElapsedSeconds();
   } else {
     const PartitionConfig pconfig = DerivePartitionConfig(
         options.fpga, cst.NumQueryVertices(), options.partition);
-    // Partitions go to the card as Alg. 2 emits them, so matching overlaps
-    // the remainder of partitioning.
-    const auto fpga_sink = [&](Cst part) -> Status {
-      w_fpga += EstimateWorkload(part);
-      return card->Submit(std::move(part));
-    };
-    Timer partition_timer;
+    // Alg. 3: the host keeps a CST while its share of the total estimated
+    // workload stays below δ. Crucially this is consulted *during*
+    // partitioning, so the host can absorb oversized CSTs instead of
+    // recursing on them (Sec. VII-B's FAST-SHARE saving). Every CST the card
+    // gets was declined here just before, so its estimate is reused; with
+    // δ = 0 nothing is offered and nothing estimated (W_C stays 0, and with
+    // it the share).
+    double declined = 0.0;  // estimate of the CST try_cpu declined last
+    std::function<bool(Cst&)> try_cpu;
     if (options.cpu_share_delta > 0.0) {
-      // Alg. 3: the host keeps a CST while its share of the total estimated
-      // workload stays below δ. Crucially this is consulted *during*
-      // partitioning, so the host can absorb oversized CSTs instead of
-      // recursing on them (Sec. VII-B's FAST-SHARE saving).
-      const auto try_cpu = [&](Cst& part) -> bool {
+      try_cpu = [&](Cst& part) -> bool {
         const double w = EstimateWorkload(part);
         if (w_cpu + w >= options.cpu_share_delta * (w_cpu + w_fpga + w)) {
+          declined = w;
           return false;
         }
         w_cpu += w;
         cpu_queue.push_back(std::move(part));
         return true;
       };
-      partition_status = PartitionCstWithOffload(cst, result.order, pconfig, fpga_sink,
-                                                 try_cpu, &result.partition_stats);
-    } else {
-      partition_status = PartitionCst(cst, result.order, pconfig, fpga_sink,
-                                      &result.partition_stats);
     }
+    // Partitions go to the card as Alg. 2 emits them, so matching overlaps
+    // the remainder of partitioning.
+    const auto fpga_sink = [&](Cst part) -> Status {
+      w_fpga += declined;
+      return card->Submit(std::move(part));
+    };
+    Timer partition_timer;
+    partition_status = PartitionCstWithOffload(cst, result.order, pconfig, fpga_sink,
+                                               try_cpu, &result.partition_stats, record);
     result.partition_seconds = partition_timer.ElapsedSeconds();
+    if (record != nullptr) {
+      record->w_cpu = w_cpu;
+      record->w_fpga = w_fpga;
+    }
   }
   // Reap before propagating a partitioning error: partitions already on the
   // card must be accounted for even when a later submit failed.

@@ -85,7 +85,9 @@ struct FastRunResult {
   PartitionStats partition_stats;
   KernelCounters counters;
 
-  // Measured host times (seconds).
+  // Measured host times (seconds). partition_seconds spans Alg. 2 with its
+  // submits, or on a replay (RunFastWithCst) the rebuild of the recorded
+  // partitions with their submits.
   double build_seconds = 0;
   double partition_seconds = 0;
   double cpu_share_seconds = 0;
@@ -160,19 +162,33 @@ StatusOr<FastRunResult> RunFast(const QueryGraph& q, const Graph& g,
 
 // Runs steps (2)-(6) of the pipeline from a prebuilt CST and matching order,
 // skipping order computation and CST construction. This is the cache-hit
-// path of the service layer: a cached CST re-enters the pipeline here. `order` must be tree-connected with order.root equal to the CST's
-// BFS-tree root. `build_seconds` is reported in the result (pass the
-// measured construction time, or 0 when the CST came from a cache).
+// path of the service layer: a cached CST re-enters the pipeline here.
+// `order` must be tree-connected with order.root equal to the CST's BFS-tree
+// root. `build_seconds` is reported in the result (pass the measured
+// construction time, or 0 when the CST came from a cache).
 // `options.explicit_order` and `options.order_policy` are ignored.
 //
 // The one place the pipeline partitions (Alg. 2), keeps the δ-share on the
 // host (Alg. 3, after the card finishes) and composes the total. FAST-DRAM
-// skips Alg. 2 and submits the whole CST (partition_seconds stays 0).
-// `card` null simulates a device PRIVATE to the request, matching inline.
+// skips Alg. 2 and submits the whole CST (partition_seconds stays 0) and
+// ignores `replay` and `record`. `card` null simulates a device PRIVATE to
+// the request, matching inline.
+//
+// Partitions come from Alg. 2, or from `replay`: a PartitionPlan an earlier
+// run recorded on this same CST, order and options. A replay rebuilds each
+// recorded partition from `cst` and hands it, in emission order, to the card
+// or to the host share as Alg. 3 decided; partition_stats and the share come
+// from the plan, so the result is bit for bit the recorded run's. Its
+// partition_seconds is the wall time of rebuilding and submitting the
+// partitions (Alg. 2 does not run). A non-null `record` (with a null
+// `replay`) receives the Alg. 2 run as a PartitionPlan; it is complete only
+// when the run succeeds.
 StatusOr<FastRunResult> RunFastWithCst(const Cst& cst, const MatchingOrder& order,
                                        const FastRunOptions& options = {},
                                        double build_seconds = 0.0,
-                                       Card* card = nullptr);
+                                       Card* card = nullptr,
+                                       const PartitionPlan* replay = nullptr,
+                                       PartitionPlan* record = nullptr);
 
 // Effective partition thresholds for a device (δ_S, δ_D derivation).
 PartitionConfig DerivePartitionConfig(const FpgaConfig& fpga, std::size_t query_size,

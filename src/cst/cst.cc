@@ -1,6 +1,7 @@
 #include "cst/cst.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "obs/profiler.h"
@@ -343,57 +344,134 @@ StatusOr<Cst> BuildCst(const QueryGraph& q, const Graph& g, VertexId root,
   return cst;
 }
 
+namespace {
+
+// One query vertex's kept candidates, as Restrict reads them: the kept old
+// positions in ascending order, and the new position of each old one (-1
+// when dropped), from a byte mask or from a packed bitset.
+class Keep {
+ public:
+  explicit Keep(const std::vector<char>& mask) : remap_(mask.size(), -1) {
+    for (std::size_t i = 0; i < mask.size(); ++i) {
+      if (mask[i]) Add(static_cast<std::uint32_t>(i));
+    }
+  }
+  Keep(std::span<const std::uint64_t> words, std::size_t n) : remap_(n, -1) {
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        Add(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
+  const std::vector<std::uint32_t>& kept() const { return kept_; }
+  std::int32_t NewPos(std::uint32_t i) const { return remap_[i]; }
+
+ private:
+  void Add(std::uint32_t i) {
+    remap_[i] = static_cast<std::int32_t>(kept_.size());
+    kept_.push_back(i);
+  }
+
+  std::vector<std::int32_t> remap_;
+  std::vector<std::uint32_t> kept_;
+};
+
+// The one restriction behind both SubsetCst forms. Kept rows keep their
+// ascending order and the remap preserves order, so one pass per slot filters
+// and remaps targets and records offsets as it goes; remapped targets stay
+// ascending within a row for the same reason. The pass writes into a scratch
+// array sized to the kept rows' degree sum, and each target array is then
+// allocated at exactly its kept targets, never at the parent's whole array.
+void Restrict(const Cst& cst, const std::vector<Keep>& keep,
+              std::vector<std::vector<VertexId>>* candidates,
+              std::vector<CstEdgeList>* adj) {
+  const std::size_t n = cst.NumQueryVertices();
+  candidates->resize(n);
+  for (VertexId u = 0; u < n; ++u) {
+    const auto cands = cst.Candidates(u);
+    auto& out = (*candidates)[u];
+    out.reserve(keep[u].kept().size());
+    for (const std::uint32_t i : keep[u].kept()) out.push_back(cands[i]);
+  }
+  const auto& edges = cst.layout().edges();
+  adj->resize(edges.size());
+  std::vector<std::uint32_t> filtered;  // one slot's targets, then copied out
+  for (std::size_t s = 0; s < edges.size(); ++s) {
+    const auto [from, to, is_tree] = edges[s];
+    const std::vector<std::uint32_t>& rows = keep[from].kept();
+    const Keep& dst = keep[to];
+    const CstEdgeList& in = cst.EdgeList(static_cast<int>(s));
+    CstEdgeList& el = (*adj)[s];
+    el.offsets.assign(rows.size() + 1, 0);
+    std::size_t kept_degree = 0;
+    for (const std::uint32_t i : rows) kept_degree += in.Degree(i);
+    if (filtered.size() < kept_degree) filtered.resize(kept_degree);
+    std::uint32_t* out = filtered.data();
+    std::uint32_t k = 0;
+    std::uint32_t row = 0;
+    for (const std::uint32_t i : rows) {
+      // Branch-free filter: every target is written, only kept ones advance.
+      for (const std::uint32_t t : in.Neighbors(i)) {
+        const std::int32_t p = dst.NewPos(t);
+        out[k] = static_cast<std::uint32_t>(p);
+        k += p >= 0 ? 1u : 0u;
+      }
+      el.offsets[++row] = k;
+    }
+    el.targets.assign(out, out + k);
+  }
+}
+
+}  // namespace
+
 StatusOr<Cst> SubsetCst(const Cst& cst, const std::vector<std::vector<char>>& keep) {
   const std::size_t n = cst.NumQueryVertices();
   if (keep.size() != n) return Status::InvalidArgument("keep mask arity mismatch");
-
-  Cst out;
-  out.layout_ = cst.layout_;
-  out.non_tree_materialized_ = cst.non_tree_materialized_;
-  out.candidates_.resize(n);
-
-  // Old position -> new position (or -1).
-  std::vector<std::vector<std::int32_t>> remap(n);
+  std::vector<Keep> masks;
+  masks.reserve(n);
   for (VertexId u = 0; u < n; ++u) {
-    const auto cands = cst.Candidates(u);
-    if (keep[u].size() != cands.size()) {
+    if (keep[u].size() != cst.NumCandidates(u)) {
       return Status::InvalidArgument("keep mask size mismatch at query vertex " +
                                      std::to_string(u));
     }
-    remap[u].assign(cands.size(), -1);
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (keep[u][i]) {
-        remap[u][i] = static_cast<std::int32_t>(out.candidates_[u].size());
-        out.candidates_[u].push_back(cands[i]);
-      }
-    }
+    masks.emplace_back(keep[u]);
   }
+  Cst out;
+  out.layout_ = cst.layout_;
+  out.non_tree_materialized_ = cst.non_tree_materialized_;
+  Restrict(cst, masks, &out.candidates_, &out.adj_);
+  return out;
+}
 
-  const auto& edges = cst.layout_->edges();
-  out.adj_.resize(edges.size());
-  for (std::size_t s = 0; s < edges.size(); ++s) {
-    const auto [from, to, is_tree] = edges[s];
-    const auto& src_remap = remap[from];
-    const auto& dst_remap = remap[to];
-    const auto& in = cst.adj_[s];
-    auto& el = out.adj_[s];
-    el.offsets.assign(out.candidates_[from].size() + 1, 0);
-    el.targets.clear();
-    el.targets.reserve(in.targets.size());
-    // Kept rows appear in ascending src_remap order (the remap preserves
-    // order), so one pass filters + remaps and records offsets as it goes.
-    // Remapped targets stay ascending within a row for the same reason.
-    std::uint32_t row = 0;
-    for (std::size_t i = 0; i < src_remap.size(); ++i) {
-      if (src_remap[i] < 0) continue;
-      for (std::uint32_t t : in.Neighbors(static_cast<std::uint32_t>(i))) {
-        if (dst_remap[t] >= 0) {
-          el.targets.push_back(static_cast<std::uint32_t>(dst_remap[t]));
-        }
-      }
-      el.offsets[++row] = static_cast<std::uint32_t>(el.targets.size());
-    }
+std::vector<std::size_t> CandidateBitsOffsets(const Cst& cst) {
+  std::vector<std::size_t> offsets(cst.NumQueryVertices() + 1, 0);
+  for (VertexId u = 0; u < cst.NumQueryVertices(); ++u) {
+    offsets[u + 1] = offsets[u] + (cst.NumCandidates(u) + 63) / 64;
   }
+  return offsets;
+}
+
+StatusOr<Cst> SubsetCst(const Cst& cst, std::span<const std::uint64_t> keep) {
+  const std::vector<std::size_t> offsets = CandidateBitsOffsets(cst);
+  if (keep.size() != offsets.back()) {
+    return Status::InvalidArgument("keep bitset size mismatch");
+  }
+  const std::size_t n = cst.NumQueryVertices();
+  std::vector<Keep> masks;
+  masks.reserve(n);
+  for (VertexId u = 0; u < n; ++u) {
+    const auto words = keep.subspan(offsets[u], offsets[u + 1] - offsets[u]);
+    const std::size_t tail = cst.NumCandidates(u) % 64;
+    if (tail != 0 && (words.back() >> tail) != 0) {
+      return Status::InvalidArgument("keep bit past C(u) at query vertex " +
+                                     std::to_string(u));
+    }
+    masks.emplace_back(words, cst.NumCandidates(u));
+  }
+  Cst out;
+  out.layout_ = cst.layout_;
+  out.non_tree_materialized_ = cst.non_tree_materialized_;
+  Restrict(cst, masks, &out.candidates_, &out.adj_);
   return out;
 }
 

@@ -133,6 +133,8 @@ class Cst {
                                 const CstBuildOptions& options);
   friend StatusOr<Cst> SubsetCst(const Cst& cst,
                                  const std::vector<std::vector<char>>& keep);
+  friend StatusOr<Cst> SubsetCst(const Cst& cst,
+                                 std::span<const std::uint64_t> keep);
   // Test-only: assembles hand-made (e.g. deliberately asymmetric) CSTs.
   friend class CstTestPeer;
 
@@ -161,9 +163,24 @@ StatusOr<Cst> BuildCst(const QueryGraph& q, const Graph& g, VertexId root,
                        const CstBuildOptions& options = {});
 
 // Restricts a CST to the candidate subsets selected by `keep` (one byte-mask
-// per query vertex, indexed by candidate position), remapping adjacency.
-// Shared by the partitioner and tests.
+// per query vertex, indexed by candidate position), remapping adjacency. The
+// result keeps every CST edge between kept candidates, so a chain of subsets
+// equals one subset of the first CST: what lets a partition plan
+// (cst/partition.h) rebuild Alg. 2's partitions from the root. Each target
+// array is allocated at exactly its kept targets. Shared by the partitioner
+// and tests.
 StatusOr<Cst> SubsetCst(const Cst& cst, const std::vector<std::vector<char>>& keep);
+
+// The same restriction with `keep` as packed bitsets: u's bit i keeps
+// candidate i of C(u), and u's bits start at word CandidateBitsOffsets(cst)[u]
+// (each C(u) rounded up to whole 64-bit words). Bits past |C(u)| must be 0.
+// Costs one pass over each C(u) plus the kept rows' adjacency, not a pass
+// over the whole CST.
+StatusOr<Cst> SubsetCst(const Cst& cst, std::span<const std::uint64_t> keep);
+
+// Word offsets of the packed bitsets above, one per query vertex plus the
+// total (back()).
+std::vector<std::size_t> CandidateBitsOffsets(const Cst& cst);
 
 }  // namespace fast
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/logging.h"
 
@@ -104,31 +105,50 @@ void PruneMasks(const Cst& cst, const std::vector<VertexId>& order,
   }
 }
 
+// Root-CST position of every candidate of a CST in the recursion, per query
+// vertex; empty when the run is not recorded.
+using RootPositions = std::vector<std::vector<std::uint32_t>>;
+
+// The positions a sub-CST keeps: `pos` filtered by the masks SubsetCst
+// applies to the CST itself.
+RootPositions KeptPositions(const RootPositions& pos,
+                            const std::vector<std::vector<char>>& keep) {
+  if (pos.empty()) return {};
+  RootPositions out(pos.size());
+  for (std::size_t u = 0; u < pos.size(); ++u) {
+    for (std::size_t i = 0; i < pos[u].size(); ++i) {
+      if (keep[u][i]) out[u].push_back(pos[u][i]);
+    }
+  }
+  return out;
+}
+
 class Partitioner {
  public:
   Partitioner(const MatchingOrder& order, const PartitionConfig& config,
               const std::function<Status(Cst)>& sink,
-              const std::function<bool(Cst&)>* try_cpu, PartitionStats* stats)
+              const std::function<bool(Cst&)>& try_cpu, PartitionStats* stats,
+              PartitionPlan* record, std::vector<std::size_t> bit_offsets)
       : order_(order), config_(config), sink_(sink), try_cpu_(try_cpu),
-        stats_(stats) {}
+        stats_(stats), record_(record), bit_offsets_(std::move(bit_offsets)) {}
 
-  Status Run(Cst cst, std::size_t index) {
+  Status Run(Cst cst, RootPositions pos, std::size_t index) {
     ++stats_->num_recursive_calls;
     if (Fits(cst, config_)) {
-      if (OfferToCpu(&cst)) return Status::OK();
-      return Emit(std::move(cst), /*oversized=*/false);
+      if (OfferToCpu(&cst, pos)) return Status::OK();
+      return Emit(std::move(cst), pos, /*oversized=*/false);
     }
     // FAST-SHARE: the host may take an oversized CST as-is, skipping the
     // entire sub-recursion (the Sec. VII-B partition-cost saving).
-    if (OfferToCpu(&cst)) return Status::OK();
+    if (OfferToCpu(&cst, pos)) return Status::OK();
     if (index >= order_.order.size()) {
       // Every candidate set is down to one vertex and the CST still exceeds
       // a threshold: nothing left to split (pathological δ settings).
-      return Emit(std::move(cst), /*oversized=*/true);
+      return Emit(std::move(cst), pos, /*oversized=*/true);
     }
     const VertexId u = order_.order[index];
     const std::size_t n_cands = cst.NumCandidates(u);
-    if (n_cands <= 1) return Run(std::move(cst), index + 1);
+    if (n_cands <= 1) return Run(std::move(cst), std::move(pos), index + 1);
 
     std::size_t k;
     if (config_.fixed_k > 0) {
@@ -159,49 +179,67 @@ class Partitioner {
       PruneMasks(cst, order_.order, index, config_.prune_preceding, &keep);
 
       FAST_ASSIGN_OR_RETURN(Cst sub, SubsetCst(cst, keep));
+      RootPositions sub_pos = KeptPositions(pos, keep);
       begin = end;
       if (Fits(sub, config_)) {
-        if (OfferToCpu(&sub)) continue;
-        FAST_RETURN_IF_ERROR(Emit(std::move(sub), /*oversized=*/false));
+        if (OfferToCpu(&sub, sub_pos)) continue;
+        FAST_RETURN_IF_ERROR(Emit(std::move(sub), sub_pos, /*oversized=*/false));
       } else if (sub.NumCandidates(u) <= 1) {
-        FAST_RETURN_IF_ERROR(Run(std::move(sub), index + 1));
+        FAST_RETURN_IF_ERROR(Run(std::move(sub), std::move(sub_pos), index + 1));
       } else {
-        FAST_RETURN_IF_ERROR(Run(std::move(sub), index));
+        FAST_RETURN_IF_ERROR(Run(std::move(sub), std::move(sub_pos), index));
       }
     }
     return Status::OK();
   }
 
  private:
-  bool OfferToCpu(Cst* cst) {
-    if (try_cpu_ == nullptr || !(*try_cpu_)) return false;
-    if ((*try_cpu_)(*cst)) {
+  bool OfferToCpu(Cst* cst, const RootPositions& pos) {
+    if (!try_cpu_) return false;
+    if (try_cpu_(*cst)) {
       ++stats_->num_cpu_offloaded;
+      Record(pos, /*on_cpu=*/true);
       return true;
     }
     return false;
   }
 
-  Status Emit(Cst cst, bool oversized) {
+  Status Emit(Cst cst, const RootPositions& pos, bool oversized) {
     ++stats_->num_partitions;
     if (oversized) ++stats_->num_oversized;
     stats_->total_size_words += cst.SizeWords();
     stats_->max_partition_words = std::max(stats_->max_partition_words, cst.SizeWords());
+    Record(pos, /*on_cpu=*/false);
     return sink_(std::move(cst));
+  }
+
+  // Appends one partition's bitsets over the root's candidate sets.
+  void Record(const RootPositions& pos, bool on_cpu) {
+    if (record_ == nullptr) return;
+    const std::size_t block = record_->bits.size();
+    record_->bits.resize(block + record_->words_per_partition, 0);
+    std::uint64_t* bits = record_->bits.data() + block;
+    for (std::size_t u = 0; u < pos.size(); ++u) {
+      std::uint64_t* words = bits + bit_offsets_[u];
+      for (const std::uint32_t p : pos[u]) words[p >> 6] |= std::uint64_t{1} << (p & 63);
+    }
+    record_->on_cpu.push_back(on_cpu ? 1 : 0);
   }
 
   const MatchingOrder& order_;
   const PartitionConfig& config_;
   const std::function<Status(Cst)>& sink_;
-  const std::function<bool(Cst&)>* try_cpu_;  // may be null
+  const std::function<bool(Cst&)>& try_cpu_;  // may be empty
   PartitionStats* stats_;
+  PartitionPlan* record_;  // may be null
+  const std::vector<std::size_t> bit_offsets_;  // of the root, when recording
 };
 
 Status PartitionImpl(const Cst& cst, const MatchingOrder& order,
                      const PartitionConfig& config,
                      const std::function<Status(Cst)>& sink,
-                     const std::function<bool(Cst&)>* try_cpu,
-                     PartitionStats* stats) {
+                     const std::function<bool(Cst&)>& try_cpu,
+                     PartitionStats* stats, PartitionPlan* record) {
   if (config.max_size_words == 0 || config.max_degree == 0) {
     return Status::InvalidArgument("partition thresholds must be positive");
   }
@@ -214,9 +252,26 @@ Status PartitionImpl(const Cst& cst, const MatchingOrder& order,
   PartitionStats local;
   PartitionStats* s = stats != nullptr ? stats : &local;
   *s = PartitionStats{};
-  Partitioner p(order, config, sink, try_cpu, s);
+  RootPositions pos;
+  std::vector<std::size_t> bit_offsets;
+  if (record != nullptr) {
+    *record = PartitionPlan{};
+    bit_offsets = CandidateBitsOffsets(cst);
+    record->words_per_partition = bit_offsets.back();
+    pos.resize(cst.NumQueryVertices());
+    for (VertexId u = 0; u < cst.NumQueryVertices(); ++u) {
+      pos[u].resize(cst.NumCandidates(u));
+      std::iota(pos[u].begin(), pos[u].end(), std::uint32_t{0});
+    }
+  }
+  Partitioner p(order, config, sink, try_cpu, s, record, std::move(bit_offsets));
   Cst copy = cst;
-  return p.Run(std::move(copy), 0);
+  Status status = p.Run(std::move(copy), std::move(pos), 0);
+  if (record != nullptr) {
+    record->bits.shrink_to_fit();
+    record->stats = *s;
+  }
+  return status;
 }
 
 }  // namespace
@@ -224,15 +279,15 @@ Status PartitionImpl(const Cst& cst, const MatchingOrder& order,
 Status PartitionCst(const Cst& cst, const MatchingOrder& order,
                     const PartitionConfig& config,
                     const std::function<Status(Cst)>& sink, PartitionStats* stats) {
-  return PartitionImpl(cst, order, config, sink, nullptr, stats);
+  return PartitionImpl(cst, order, config, sink, {}, stats, nullptr);
 }
 
 Status PartitionCstWithOffload(const Cst& cst, const MatchingOrder& order,
                                const PartitionConfig& config,
                                const std::function<Status(Cst)>& fpga_sink,
                                const std::function<bool(Cst&)>& try_cpu,
-                               PartitionStats* stats) {
-  return PartitionImpl(cst, order, config, fpga_sink, &try_cpu, stats);
+                               PartitionStats* stats, PartitionPlan* record) {
+  return PartitionImpl(cst, order, config, fpga_sink, try_cpu, stats, record);
 }
 
 StatusOr<std::vector<Cst>> PartitionCstToVector(const Cst& cst,

@@ -14,6 +14,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "cst/cst.h"
 #include "query/matching_order.h"
@@ -53,6 +55,31 @@ struct PartitionStats {
   bool operator==(const PartitionStats&) const = default;
 };
 
+// Alg. 2's output for one CST and config, kept so that the partitions can be
+// rebuilt without re-running Alg. 2 (the service's plan cache keeps one per
+// cached CST). Every partition Alg. 2 emits is the root CST's induced sub-CST
+// on the partition's candidate sets (see SubsetCst), so a partition is
+// recorded as one bitset per query vertex over the root's C(u), in the packed
+// layout of CandidateBitsOffsets(root), and rebuilt with
+// SubsetCst(root, Partition(i)).
+struct PartitionPlan {
+  std::size_t words_per_partition = 0;  // CandidateBitsOffsets(root).back()
+  std::vector<std::uint64_t> bits;      // size() blocks of words_per_partition
+  std::vector<char> on_cpu;  // per partition, in emission order: kept by Alg. 3
+  PartitionStats stats;      // of the recorded run
+  // W_C and W_F: estimated workload kept on the host and sent to the card.
+  double w_cpu = 0.0;
+  double w_fpga = 0.0;
+
+  std::size_t size() const { return on_cpu.size(); }
+  std::span<const std::uint64_t> Partition(std::size_t i) const {
+    return std::span<const std::uint64_t>(bits).subspan(i * words_per_partition,
+                                                        words_per_partition);
+  }
+  // What a plan cache charges for it: the bitset bytes.
+  std::size_t Bytes() const { return bits.size() * sizeof(std::uint64_t); }
+};
+
 // Streams every satisfying partition to `sink` in deterministic order, as
 // soon as it is valid — mirroring the paper's "offloaded to FPGA
 // immediately". Stops early if the sink returns an error.
@@ -69,12 +96,20 @@ Status PartitionCst(const Cst& cst, const MatchingOrder& order,
 // the FPGA — `try_cpu` is consulted; returning true means the host keeps the
 // CST (no further partitioning) and it is NOT sent to `fpga_sink`. The CPU
 // has no BRAM constraint, so oversized CSTs are legal there.
-// `try_cpu` may move from its argument only when it returns true.
+// `try_cpu` may move from its argument only when it returns true. An empty
+// `try_cpu` keeps nothing on the host. When `try_cpu` is set, every CST
+// reaching `fpga_sink` is the one `try_cpu` declined last.
+//
+// A non-null `record` receives the run as a PartitionPlan: every CST kept by
+// `try_cpu` or sent to `fpga_sink`, in that order, and the stats (W_C and
+// W_F are the caller's to fill in). The positions are carried through the
+// recursion, filtered by the same masks as each sub-CST.
 Status PartitionCstWithOffload(const Cst& cst, const MatchingOrder& order,
                                const PartitionConfig& config,
                                const std::function<Status(Cst)>& fpga_sink,
                                const std::function<bool(Cst&)>& try_cpu,
-                               PartitionStats* stats = nullptr);
+                               PartitionStats* stats = nullptr,
+                               PartitionPlan* record = nullptr);
 
 // Convenience wrapper collecting all partitions into a vector.
 StatusOr<std::vector<Cst>> PartitionCstToVector(const Cst& cst,

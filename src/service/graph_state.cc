@@ -173,8 +173,11 @@ void GraphState::Execute(const CanonicalQuery& canonical,
     plan = cache_.Lookup(canonical.key, snap.epoch);
   }
   const bool hit = plan != nullptr;
+  // Whether the CST the run reads is a cache entry's: a hit on one, or a
+  // miss whose insert kept it.
+  bool cached = hit && !plan->order_only();
   double build_seconds = 0.0;
-  if (!hit || plan->order_only()) {
+  if (!cached) {
     StatusOr<std::shared_ptr<const CachedPlan>> built =
         BuildPlan(canonical, snap, run, plan.get(), &build_seconds,
                   &result->plan_bytes_charged);
@@ -183,13 +186,25 @@ void GraphState::Execute(const CanonicalQuery& canonical,
       return;
     }
     plan = std::move(*built);
+    cached = result->plan_bytes_charged > 0;
   }
   result->cache_hit = hit;
-  StatusOr<FastRunResult> r =
-      RunFastWithCst(*plan->cst, plan->order, run, build_seconds, card);
+  // A run on a cached CST without partitions records Alg. 2's, and only a
+  // run that succeeds publishes them; later hits replay them.
+  PartitionPlan recorded;
+  const bool record = cached && !plan->partitions.has_value() &&
+                      run.variant != FastVariant::kDram;
+  StatusOr<FastRunResult> r = RunFastWithCst(
+      *plan->cst, plan->order, run, build_seconds, card,
+      plan->partitions.has_value() ? &*plan->partitions : nullptr,
+      record ? &recorded : nullptr);
   if (!r.ok()) {
     result->status = r.status();
     return;
+  }
+  if (record) {
+    result->plan_bytes_charged +=
+        cache_.AttachPartitions(canonical.key, snap.epoch, plan, std::move(recorded));
   }
   result->run = std::move(*r);
   {
@@ -238,9 +253,9 @@ StatusOr<std::shared_ptr<const CachedPlan>> GraphState::BuildPlan(
   *build_seconds = build_timer.ElapsedSeconds();
   plan->cst = std::make_shared<const Cst>(std::move(cst));
   // An order-only hit keeps its entry: the rebuilt CST is over the budget.
-  if (order_hit == nullptr && options_.plan_cache_capacity > 0) {
+  if (order_hit == nullptr && options_.plan_cache_capacity > 0 &&
+      cache_.Insert(canonical.key, snap.epoch, plan)) {
     *plan_bytes_charged = plan->Bytes();
-    cache_.Insert(canonical.key, snap.epoch, plan);
   }
   return std::shared_ptr<const CachedPlan>(std::move(plan));
 }

@@ -12,10 +12,10 @@
 //     and publish it atomically while in-flight requests drain on the
 //     snapshot they captured (the old graph is freed when its last request
 //     drops the shared_ptr);
-//   - the epoch-tagged plan/CST cache (plan_cache.h), invalidated eagerly on
-//     publish and re-checked per hit;
-//   - request execution: canonical-query cache lookup, build-and-run, and
-//     the remap of every client-visible vertex reference back to the
+//   - the epoch-tagged plan cache (plan_cache.h: order, CST and Alg. 2's
+//     partition plan), invalidated eagerly on publish and re-checked per hit;
+//   - request execution: canonical-query cache lookup, build-and-run (or
+//     replay the cached partitions), and the remap of every client-visible vertex reference back to the
 //     submitted numbering.
 //
 // Serve() is the single entry point a worker calls after dequeuing a
@@ -99,9 +99,10 @@ struct RequestResult {
   std::uint64_t graph_epoch = 0;
   double queue_seconds = 0.0;  // Submit -> dispatch
   double total_seconds = 0.0;  // Submit -> completion
-  // Wire bytes (CstWireBytes) of the CST this request inserted into the plan
-  // cache (0 on a hit or with caching off) — the plan-cache dimension of the
-  // request's resource-account charge (obs/accounting.h).
+  // Plan-cache bytes this request added (CachedPlan::Bytes): the CST it
+  // inserted on a miss, plus the partition plan it published (0 on a hit on
+  // a plan that already had one, or with caching off) — the plan-cache
+  // dimension of the request's resource-account charge (obs/accounting.h).
   std::uint64_t plan_bytes_charged = 0;
   // Per-span latency breakdown of this request (obs/trace.h); null when the
   // service ran with tracing disabled. Shared with the service's recent- and
@@ -183,7 +184,8 @@ class GraphState {
   // Builds the plan a request runs when the cache has no CST for it: the
   // order from `order_hit` (an order-only entry) or computed, then the CST
   // against `snap`. A miss (null `order_hit`) inserts the plan under the
-  // snapshot's epoch and reports its byte charge.
+  // snapshot's epoch and, when the cache keeps it as is, reports its byte
+  // charge (nonzero).
   StatusOr<std::shared_ptr<const CachedPlan>> BuildPlan(
       const CanonicalQuery& canonical, const GraphSnapshot& snap,
       const FastRunOptions& run, const CachedPlan* order_hit,

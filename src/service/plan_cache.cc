@@ -7,7 +7,8 @@
 namespace fast::service {
 
 std::size_t CachedPlan::Bytes() const {
-  return cst == nullptr ? 0 : CstWireBytes(*cst);
+  return (cst == nullptr ? 0 : CstWireBytes(*cst)) +
+         (partitions.has_value() ? partitions->Bytes() : 0);
 }
 
 void PlanCache::BindMetrics(obs::MetricsRegistry* registry) {
@@ -27,7 +28,8 @@ void PlanCache::BindMetrics(obs::MetricsRegistry* registry) {
   entries_gauge_ = registry->GetGauge("fast_plan_cache_entries",
                                       "Live plan cache entries (all caches)");
   bytes_gauge_ = registry->GetGauge(
-      "fast_plan_cache_bytes", "CST wire bytes cached (all caches)");
+      "fast_plan_cache_bytes",
+      "CST wire bytes plus partition bitset bytes cached (all caches)");
 }
 
 void PlanCache::EraseLocked(std::unordered_map<std::string, Entry>::iterator it,
@@ -83,33 +85,36 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(const std::string& key,
   ++stats_.hits;
   if (hits_counter_ != nullptr) hits_counter_->Increment();
   if (it->second.plan->order_only()) ++stats_.order_only_hits;
+  if (it->second.plan->partitions.has_value()) ++stats_.replay_hits;
   return it->second.plan;
 }
 
-void PlanCache::Insert(const std::string& key, std::uint64_t epoch,
+bool PlanCache::Insert(const std::string& key, std::uint64_t epoch,
                        std::shared_ptr<const CachedPlan> plan) {
-  if (capacity_ == 0 || plan == nullptr) return;
+  if (capacity_ == 0 || plan == nullptr) return false;
   std::lock_guard<util::ProfiledMutex> lock(mu_);
   // A plan from an already-invalidated epoch (a request draining on an old
   // snapshot) can never serve anyone — dropping it here keeps it from
   // entering at the MRU position and evicting a live current-epoch entry.
-  if (epoch < min_epoch_) return;
+  if (epoch < min_epoch_) return false;
   std::size_t bytes = plan->Bytes();
+  bool demoted = false;
   if (byte_budget_ > 0 && bytes > byte_budget_) {
     // Demote to an order-only entry: the CST would evict the whole cache,
     // but the matching order costs a few words and a hit on it still skips
     // order computation (the CST is rebuilt on hit).
-    auto demoted = std::make_shared<CachedPlan>();
-    demoted->order = plan->order;
-    plan = std::move(demoted);
+    auto order_only = std::make_shared<CachedPlan>();
+    order_only->order = plan->order;
+    plan = std::move(order_only);
     bytes = 0;
+    demoted = true;
     ++stats_.rejected_oversized;
   }
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Never replace a fresher plan with one a draining old-epoch request
     // just built — that would thrash the slot around every swap.
-    if (it->second.epoch > epoch) return;
+    if (it->second.epoch > epoch) return false;
     const std::size_t old_bytes = it->second.plan->Bytes();
     stats_.bytes_in_use -= old_bytes;
     stats_.bytes_in_use += bytes;
@@ -122,7 +127,7 @@ void PlanCache::Insert(const std::string& key, std::uint64_t epoch,
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     ++stats_.insertions;
     EvictToFitLocked();  // the replacement CST may be larger
-    return;
+    return !demoted;
   }
   lru_.push_front(key);
   stats_.bytes_in_use += bytes;
@@ -134,6 +139,35 @@ void PlanCache::Insert(const std::string& key, std::uint64_t epoch,
   entries_.emplace(key, Entry{lru_.begin(), epoch, std::move(plan)});
   ++stats_.insertions;
   EvictToFitLocked();
+  return !demoted;
+}
+
+std::size_t PlanCache::AttachPartitions(const std::string& key, std::uint64_t epoch,
+                                        const std::shared_ptr<const CachedPlan>& base,
+                                        PartitionPlan partitions) {
+  std::lock_guard<util::ProfiledMutex> lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.epoch != epoch || it->second.plan != base) {
+    return 0;
+  }
+  auto upgraded = std::make_shared<CachedPlan>();
+  upgraded->order = base->order;
+  upgraded->cst = base->cst;
+  upgraded->partitions = std::move(partitions);
+  const std::size_t bytes = upgraded->Bytes();
+  if (byte_budget_ > 0 && bytes > byte_budget_) {
+    ++stats_.rejected_partitions;
+    return 0;
+  }
+  const std::size_t added = bytes - base->Bytes();
+  stats_.bytes_in_use += added;
+  if (bytes_gauge_ != nullptr) bytes_gauge_->Add(static_cast<double>(added));
+  it->second.plan = std::move(upgraded);
+  // The entry was just used; at the MRU position the growth can only evict
+  // others.
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  EvictToFitLocked();
+  return added;
 }
 
 void PlanCache::InvalidateBefore(std::uint64_t epoch) {

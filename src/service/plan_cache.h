@@ -4,13 +4,17 @@
 // Thread-safe LRU cache of query plans for the match service.
 //
 // A plan is everything RunFastWithCst needs that does not depend on the
-// request: the matching order and the built CST, both expressed in the
+// request: the matching order, the built CST and, once a run on that CST
+// has recorded it, Alg. 2's partition plan (cst/partition.h), all in the
 // canonical query numbering of the cache key. A hit replaces order
 // computation and CST construction — typically the dominant host-side cost
 // for repeated query shapes — and hands the cached CST to the pipeline as
-// is: the CST is immutable and shared, so concurrent hits only read it.
-// Each plan is charged its CST's wire size (CstWireBytes, the bytes that
-// would cross PCIe) against the byte budget.
+// is: the CST is immutable and shared, so concurrent hits only read it. A
+// hit whose plan has partitions also skips Alg. 2: it rebuilds the recorded
+// partitions from the CST (partition settings are fixed per tenant, so a
+// plan is valid for every request of its key). A plan is charged its CST's
+// wire size (CstWireBytes, the bytes that would cross PCIe) plus its
+// partition bitset bytes against the byte budget.
 //
 // Plans are data-dependent: the CST enumerates candidate vertices of the
 // data graph, so a plan built against one graph snapshot is garbage against
@@ -31,10 +35,12 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "cst/cst.h"
+#include "cst/partition.h"
 #include "obs/metrics.h"
 #include "query/matching_order.h"
 #include "util/profiled_mutex.h"
@@ -44,14 +50,17 @@ namespace fast::service {
 struct CachedPlan {
   MatchingOrder order;             // canonical numbering
   std::shared_ptr<const Cst> cst;  // built on the entry's epoch
+  // Alg. 2's partitions of `cst`, recorded by the first successful run on
+  // it (AttachPartitions); none for order-only and FAST-DRAM entries.
+  std::optional<PartitionPlan> partitions;
 
   // Order-only entry: the plan's CST exceeded the byte budget, so only the
   // matching order is cached (cst is null). A hit skips order computation;
   // the CST is rebuilt against the request's snapshot.
   bool order_only() const { return cst == nullptr; }
 
-  // Byte charge against the cache budget: CstWireBytes(*cst), 0 when
-  // order-only.
+  // Byte charge against the cache budget: CstWireBytes(*cst) plus the
+  // partition bitset bytes; 0 when order-only.
   std::size_t Bytes() const;
 };
 
@@ -63,8 +72,12 @@ struct PlanCacheStats {
   std::uint64_t invalidations = 0;  // dropped for a superseded epoch
   std::uint64_t rejected_oversized = 0;  // CSTs over the budget (demoted)
   std::uint64_t order_only_hits = 0;  // hits that only skipped the order
+  std::uint64_t replay_hits = 0;  // hits whose plan had partitions
+  // Partition plans refused because the plan with them would exceed the
+  // whole budget (the CST-only entry stays).
+  std::uint64_t rejected_partitions = 0;
   std::size_t entries = 0;
-  std::size_t bytes_in_use = 0;  // summed CstWireBytes of cached CSTs
+  std::size_t bytes_in_use = 0;  // summed CachedPlan::Bytes() of entries
   std::size_t byte_budget = 0;   // configured bound; 0 = entries-only bound
 
   double HitRate() const {
@@ -97,9 +110,22 @@ class PlanCache {
   // on, and evicts the least recently used entries beyond capacity. An
   // existing entry with a newer epoch is kept (the insert is dropped).
   // Concurrent builders of the same key and epoch are harmless: the last
-  // insert wins and both plans are valid.
-  void Insert(const std::string& key, std::uint64_t epoch,
+  // insert wins and both plans are valid. Returns whether the cache now
+  // holds `plan` itself (false when dropped or demoted to order-only).
+  bool Insert(const std::string& key, std::uint64_t epoch,
               std::shared_ptr<const CachedPlan> plan);
+
+  // Publishes `partitions`, recorded by a successful run on `base`'s CST,
+  // as the plan {order, same CST, partitions} under the same key and epoch.
+  // Only when the entry still holds `base` itself: a replaced, evicted,
+  // invalidated or already upgraded entry is left alone (of concurrent
+  // recorders, the first wins). Not an insertion: only the byte charge
+  // grows. A plan that would exceed the whole byte budget with its
+  // partitions keeps the CST-only entry (counted in rejected_partitions).
+  // Returns the bytes added (0 when nothing was published).
+  std::size_t AttachPartitions(const std::string& key, std::uint64_t epoch,
+                               const std::shared_ptr<const CachedPlan>& base,
+                               PartitionPlan partitions);
 
   // Drops every entry tagged with an epoch < `epoch`, and rejects future
   // Inserts below it (a draining old-epoch request must not push a dead

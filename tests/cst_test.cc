@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -238,6 +239,68 @@ TEST(SubsetCstTest, RejectsWrongMaskSize) {
     keep[u].assign(cst.NumCandidates(u) + 1, 1);
   }
   EXPECT_FALSE(SubsetCst(cst, keep).ok());
+}
+
+// Packs byte masks into SubsetCst's bitset layout.
+std::vector<std::uint64_t> PackMasks(const Cst& cst,
+                                     const std::vector<std::vector<char>>& keep) {
+  const std::vector<std::size_t> offsets = CandidateBitsOffsets(cst);
+  std::vector<std::uint64_t> bits(offsets.back(), 0);
+  for (VertexId u = 0; u < cst.NumQueryVertices(); ++u) {
+    for (std::size_t i = 0; i < keep[u].size(); ++i) {
+      if (keep[u][i]) bits[offsets[u] + i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+  }
+  return bits;
+}
+
+// The bitset form is the byte-mask form with another mask encoding: random
+// masks over every LDBC query's CST (candidate sets past one word included)
+// give the same CST both ways, valid and with each target array allocated at
+// exactly its kept targets.
+TEST(SubsetCstTest, BitsetAndByteMasksAgree) {
+  const Graph g = SmallLdbcGraph();
+  std::mt19937 rng(17);
+  for (int qi = 0; qi < kNumLdbcQueries; ++qi) {
+    const QueryGraph q = LdbcQuery(qi).value();
+    const Cst cst = BuildCst(q, g, 0).value();
+    for (const double density : {0.0, 0.3, 0.8, 1.0}) {
+      std::bernoulli_distribution coin(density);
+      std::vector<std::vector<char>> keep(cst.NumQueryVertices());
+      for (VertexId u = 0; u < cst.NumQueryVertices(); ++u) {
+        for (std::size_t i = 0; i < cst.NumCandidates(u); ++i) {
+          keep[u].push_back(coin(rng) ? 1 : 0);
+        }
+      }
+      const Cst by_bytes = SubsetCst(cst, keep).value();
+      const Cst by_bits = SubsetCst(cst, PackMasks(cst, keep)).value();
+      EXPECT_TRUE(testing::SameCst(by_bits, by_bytes)) << q.name() << " " << density;
+      ASSERT_TRUE(by_bits.Validate().ok()) << q.name();
+      for (std::size_t s = 0; s < by_bits.layout().edges().size(); ++s) {
+        const CstEdgeList& el = by_bits.EdgeList(static_cast<int>(s));
+        EXPECT_EQ(el.targets.capacity(), el.targets.size()) << q.name();
+        EXPECT_EQ(by_bytes.EdgeList(static_cast<int>(s)).targets.capacity(),
+                  el.targets.size())
+            << q.name();
+      }
+    }
+  }
+}
+
+TEST(SubsetCstTest, BitsetRejectsWrongSizeAndStrayBits) {
+  Cst cst = BuildCst(PaperQuery(), PaperDataGraph(), 0).value();
+  std::vector<std::vector<char>> keep(cst.NumQueryVertices());
+  for (VertexId u = 0; u < cst.NumQueryVertices(); ++u) {
+    keep[u].assign(cst.NumCandidates(u), 1);
+  }
+  std::vector<std::uint64_t> bits = PackMasks(cst, keep);
+  ASSERT_TRUE(SubsetCst(cst, bits).ok());
+  std::vector<std::uint64_t> longer = bits;
+  longer.push_back(0);
+  EXPECT_FALSE(SubsetCst(cst, longer).ok());
+  // A bit past |C(u0)| = 2 names no candidate.
+  bits[CandidateBitsOffsets(cst)[0]] |= std::uint64_t{1} << 2;
+  EXPECT_FALSE(SubsetCst(cst, bits).ok());
 }
 
 // ---- Validate: directed-pair symmetry ----

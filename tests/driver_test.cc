@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cst/workload.h"
 #include "device/device_executor.h"
 #include "test_util.h"
 #include "util/cancel.h"
@@ -177,6 +178,91 @@ TEST(DriverTest, SmallBramForcesMultiplePartitions) {
   auto result = RunFast(q, g, options).value();
   EXPECT_GT(result.partition_stats.num_partitions, 1u);
   EXPECT_EQ(result.embeddings, BruteForceCount(q, g));
+}
+
+// A replay of a recorded Alg. 2 run is that run, bit for bit: the same
+// partitions in the same order on the card and on the host, so the same
+// counters, prices, share and ordered embeddings. Recording changes nothing.
+TEST(DriverTest, ReplayReproducesTheRecordedRunBitForBit) {
+  const Graph g = SmallLdbcGraph(0.1);
+  for (int qi = 0; qi < kNumLdbcQueries; ++qi) {
+    const QueryGraph q = LdbcQuery(qi).value();
+    const MatchingOrder order = ComputeMatchingOrder(q, g, OrderPolicy::kPathBased).value();
+    const Cst cst = BuildCst(q, g, order.root).value();
+    for (const double delta : {0.0, 0.3}) {
+      SCOPED_TRACE(q.name() + " delta=" + std::to_string(delta));
+      FastRunOptions options;
+      options.partition.max_size_words = std::max<std::size_t>(cst.SizeWords() / 6, 64);
+      options.cpu_share_delta = delta;
+      options.store_limit = 1 << 20;
+      const FastRunResult plain = RunFastWithCst(cst, order, options).value();
+      PartitionPlan plan;
+      const FastRunResult recorded =
+          RunFastWithCst(cst, order, options, 0.0, nullptr, nullptr, &plan).value();
+      const FastRunResult replayed =
+          RunFastWithCst(cst, order, options, 0.0, nullptr, &plan, nullptr).value();
+      ASSERT_GT(plan.size(), 1u);
+      EXPECT_EQ(plan.stats, recorded.partition_stats);
+      for (const FastRunResult* r : {&recorded, &replayed}) {
+        EXPECT_EQ(r->embeddings, plain.embeddings);
+        EXPECT_EQ(r->counters, plain.counters);
+        EXPECT_EQ(r->partition_stats, plain.partition_stats);
+        EXPECT_EQ(r->fpga_partitions, plain.fpga_partitions);
+        EXPECT_EQ(r->cpu_partitions, plain.cpu_partitions);
+        EXPECT_EQ(r->cpu_share_fraction, plain.cpu_share_fraction);
+        EXPECT_EQ(r->kernel_seconds, plain.kernel_seconds);
+        EXPECT_EQ(r->pcie_seconds, plain.pcie_seconds);
+        EXPECT_EQ(r->dma_bytes, plain.dma_bytes);
+        EXPECT_EQ(r->sample_embeddings, plain.sample_embeddings);
+      }
+    }
+  }
+}
+
+// Alg. 3's workload estimates: none at δ = 0 (nothing can be kept on the
+// host), and at δ > 0 W_F is the estimates of exactly the card's partitions.
+TEST(DriverTest, WorkloadIsEstimatedOnlyForTheShare) {
+  const Graph g = SmallLdbcGraph(0.1);
+  const QueryGraph q = LdbcQuery(2).value();
+  const MatchingOrder order = ComputeMatchingOrder(q, g, OrderPolicy::kPathBased).value();
+  const Cst cst = BuildCst(q, g, order.root).value();
+  FastRunOptions options;
+  options.partition.max_size_words = cst.SizeWords() / 6;
+  PartitionPlan plan;
+  const FastRunResult none =
+      RunFastWithCst(cst, order, options, 0.0, nullptr, nullptr, &plan).value();
+  ASSERT_GT(plan.size(), 1u);
+  EXPECT_EQ(plan.w_cpu, 0.0);
+  EXPECT_EQ(plan.w_fpga, 0.0);
+  EXPECT_EQ(none.cpu_share_fraction, 0.0);
+
+  options.cpu_share_delta = 0.3;
+  const FastRunResult shared =
+      RunFastWithCst(cst, order, options, 0.0, nullptr, nullptr, &plan).value();
+  double w_cpu = 0.0;
+  double w_fpga = 0.0;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const double w = EstimateWorkload(SubsetCst(cst, plan.Partition(i)).value());
+    (plan.on_cpu[i] ? w_cpu : w_fpga) += w;
+  }
+  ASSERT_GT(shared.cpu_partitions, 0u);
+  EXPECT_EQ(plan.w_cpu, w_cpu);
+  EXPECT_EQ(plan.w_fpga, w_fpga);
+  EXPECT_EQ(shared.cpu_share_fraction, w_cpu / (w_cpu + w_fpga));
+}
+
+TEST(DriverTest, DramRecordsNoPartitionPlan) {
+  const Graph g = PaperDataGraph();
+  const QueryGraph q = PaperQuery();
+  const MatchingOrder order = ComputeMatchingOrder(q, g, OrderPolicy::kPathBased).value();
+  const Cst cst = BuildCst(q, g, order.root).value();
+  FastRunOptions options;
+  options.variant = FastVariant::kDram;
+  PartitionPlan plan;
+  const FastRunResult r =
+      RunFastWithCst(cst, order, options, 0.0, nullptr, nullptr, &plan).value();
+  EXPECT_EQ(r.embeddings, BruteForceCount(q, g));
+  EXPECT_EQ(plan.size(), 0u);
 }
 
 TEST(DerivePartitionConfigTest, DerivesFromDeviceWhenUnset) {

@@ -307,6 +307,84 @@ TEST(PlanCacheTest, HitHandsOutTheInsertedCstUncopied) {
   EXPECT_EQ(cache.stats().bytes_in_use, CstWireBytes(cst));
 }
 
+// A stand-in for a recorded partition plan of `words` bitset words.
+PartitionPlan FakePartitions(std::size_t words) {
+  PartitionPlan plan;
+  plan.words_per_partition = words;
+  plan.bits.assign(words, 1);
+  plan.on_cpu.push_back(0);
+  return plan;
+}
+
+TEST(PlanCacheTest, AttachedPartitionsAreChargedButNotAnInsertion) {
+  const Cst cst = BuildCst(PaperQuery(), PaperDataGraph(), 0).value();
+  PlanCache cache(4);
+  cache.Insert("a", 1, PlanWithCst(cst));
+  const auto base = cache.Lookup("a", 1);
+  ASSERT_NE(base, nullptr);
+  const std::size_t added = cache.AttachPartitions("a", 1, base, FakePartitions(10));
+  EXPECT_EQ(added, 10 * sizeof(std::uint64_t));
+
+  const auto hit = cache.Lookup("a", 1);
+  ASSERT_NE(hit, nullptr);
+  ASSERT_TRUE(hit->partitions.has_value());
+  EXPECT_EQ(hit->cst.get(), base->cst.get());  // the same CST, not a copy
+  EXPECT_EQ(hit->Bytes(), CstWireBytes(cst) + added);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.replay_hits, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes_in_use, CstWireBytes(cst) + added);
+
+  // A second recorder of the same CST-only plan lost the race: dropped.
+  EXPECT_EQ(cache.AttachPartitions("a", 1, base, FakePartitions(10)), 0u);
+  EXPECT_EQ(cache.stats().bytes_in_use, CstWireBytes(cst) + added);
+}
+
+TEST(PlanCacheTest, PartitionsOverTheBudgetKeepTheCstOnlyEntry) {
+  const Cst cst = BuildCst(PaperQuery(), PaperDataGraph(), 0).value();
+  const std::size_t w = CstWireBytes(cst);
+  PlanCache cache(4, /*byte_budget=*/w + 64);
+  cache.Insert("a", 1, PlanWithCst(cst));
+  const auto base = cache.Lookup("a", 1);
+  EXPECT_EQ(cache.AttachPartitions("a", 1, base, FakePartitions(9)), 0u);  // w + 72
+  const auto hit = cache.Lookup("a", 1);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit, base);
+  EXPECT_FALSE(hit->partitions.has_value());
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.rejected_partitions, 1u);
+  EXPECT_EQ(stats.bytes_in_use, w);
+  EXPECT_EQ(stats.evictions, 0u);
+
+  // Within the budget the plan is kept, evicting others if it must.
+  cache.Insert("b", 1, PlanWithCst(cst));  // 2w > w + 64: evicts a
+  const auto b = cache.Lookup("b", 1);
+  EXPECT_EQ(cache.AttachPartitions("b", 1, b, FakePartitions(8)), 64u);
+  stats = cache.stats();
+  EXPECT_EQ(stats.bytes_in_use, w + 64);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+TEST(PlanCacheTest, PartitionsForAReplacedOrStaleEntryAreDropped) {
+  const Cst cst = BuildCst(PaperQuery(), PaperDataGraph(), 0).value();
+  PlanCache cache(4);
+  cache.Insert("a", 1, PlanWithCst(cst));
+  const auto first = cache.Lookup("a", 1);
+  cache.Insert("a", 1, PlanWithCst(cst));  // a concurrent builder's plan
+  EXPECT_EQ(cache.AttachPartitions("a", 1, first, FakePartitions(4)), 0u);
+  const auto second = cache.Lookup("a", 1);
+  EXPECT_EQ(cache.AttachPartitions("a", 2, second, FakePartitions(4)), 0u);
+  EXPECT_EQ(cache.AttachPartitions("missing", 1, second, FakePartitions(4)), 0u);
+  cache.InvalidateBefore(2);
+  EXPECT_EQ(cache.AttachPartitions("a", 1, second, FakePartitions(4)), 0u);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.bytes_in_use, 0u);
+  EXPECT_EQ(stats.rejected_partitions, 0u);
+}
+
 TEST(PlanCacheTest, EvictedPlanStaysValidForItsHolder) {
   // A request that looked a plan up keeps reading its CST after another
   // insert evicts the entry; only the cache's byte charge is released.
@@ -744,20 +822,180 @@ TEST(OneTenantRouterTest, FullHitReproducesColdRunBitForBit) {
       ASSERT_TRUE(hot.ok() && hot->status.ok());
       EXPECT_TRUE(hot->cache_hit);
 
+      // The same numbering again: embeddings come back in the same order.
+      auto same = svc.SubmitAndWait(kGraph, q, opts);
+      ASSERT_TRUE(same.ok() && same->status.ok());
+
       const FastRunResult& a = cold->run;
-      const FastRunResult& b = hot->run;
-      EXPECT_EQ(b.embeddings, a.embeddings);
-      EXPECT_EQ(b.counters, a.counters);
-      EXPECT_EQ(b.partition_stats, a.partition_stats);
-      EXPECT_EQ(b.cpu_partitions, a.cpu_partitions);
-      EXPECT_EQ(b.fpga_partitions, a.fpga_partitions);
-      EXPECT_EQ(b.kernel_seconds, a.kernel_seconds);
-      EXPECT_EQ(b.pcie_seconds, a.pcie_seconds);
-      EXPECT_EQ(b.dma_bytes, a.dma_bytes);
-      EXPECT_EQ(b.build_seconds, 0.0);
-      EXPECT_EQ(ToSet(b.sample_embeddings), ToSet(truth));
+      for (const FastRunResult* b : {&hot->run, &same->run}) {
+        EXPECT_EQ(b->embeddings, a.embeddings);
+        EXPECT_EQ(b->counters, a.counters);
+        EXPECT_EQ(b->partition_stats, a.partition_stats);
+        EXPECT_EQ(b->cpu_partitions, a.cpu_partitions);
+        EXPECT_EQ(b->fpga_partitions, a.fpga_partitions);
+        EXPECT_EQ(b->cpu_share_fraction, a.cpu_share_fraction);
+        EXPECT_EQ(b->kernel_seconds, a.kernel_seconds);
+        EXPECT_EQ(b->pcie_seconds, a.pcie_seconds);
+        EXPECT_EQ(b->dma_bytes, a.dma_bytes);
+        EXPECT_EQ(b->build_seconds, 0.0);
+      }
+      EXPECT_EQ(ToSet(hot->run.sample_embeddings), ToSet(truth));
+      EXPECT_EQ(same->run.sample_embeddings, a.sample_embeddings);
+      EXPECT_GT(a.partition_stats.num_partitions, 1u);
+      // Both hits replayed the partitions the cold run recorded.
+      EXPECT_EQ(svc.stats().tenants[0].cache.replay_hits,
+                2 * static_cast<std::uint64_t>(qi + 1));
     }
   }
+}
+
+// The plan of a tenant caching q on g under `run`: the wire bytes of its
+// CST, and those plus the bitset bytes of the partition plan a run on that
+// CST records.
+struct ExpectedPlanBytes {
+  std::size_t cst = 0;
+  std::size_t total = 0;
+};
+
+ExpectedPlanBytes PlanBytes(const QueryGraph& q, const Graph& g, const FastRunOptions& run) {
+  const auto canonical = CanonicalizeQuery(q).value();
+  const MatchingOrder order =
+      ComputeMatchingOrder(canonical.query, g, run.order_policy).value();
+  const Cst cst = BuildCst(canonical.query, g, order.root, run.cst_build).value();
+  PartitionPlan plan;
+  FAST_CHECK(RunFastWithCst(cst, order, run, 0.0, nullptr, nullptr, &plan).ok());
+  return {CstWireBytes(cst), CstWireBytes(cst) + plan.Bytes()};
+}
+
+// A plan's byte charge is its CST's wire bytes plus its partition bitsets;
+// the miss that recorded the partitions is charged all of it.
+TEST(OneTenantRouterTest, CachedBytesIncludeThePartitionBitsets) {
+  const Graph g = SmallLdbcGraph();
+  const QueryGraph q = LdbcQuery(4).value();
+  RouterOptions options = SmallRouterOptions(1);
+  options.run.partition.max_size_words = 256;
+  TenantRouter svc(options);
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
+  const ExpectedPlanBytes want = PlanBytes(q, g, options.run);
+  ASSERT_GT(want.total, want.cst);
+
+  auto miss = svc.SubmitAndWait(kGraph, q);
+  ASSERT_TRUE(miss.ok() && miss->status.ok());
+  auto cache = svc.stats().tenants[0].cache;
+  EXPECT_EQ(cache.bytes_in_use, want.total);
+  EXPECT_EQ(miss->plan_bytes_charged, want.total);
+  EXPECT_EQ(cache.insertions, 1u);
+  EXPECT_EQ(cache.misses, 1u);
+
+  auto hit = svc.SubmitAndWait(kGraph, q);
+  ASSERT_TRUE(hit.ok() && hit->status.ok());
+  EXPECT_EQ(hit->plan_bytes_charged, 0u);
+  cache = svc.stats().tenants[0].cache;
+  EXPECT_EQ(cache.replay_hits, 1u);
+  EXPECT_EQ(cache.bytes_in_use, want.total);
+  EXPECT_EQ(cache.insertions, 1u);
+}
+
+// Only a run that succeeds publishes its partitions: a miss cancelled
+// mid-run leaves the CST it inserted before running, without partitions;
+// the next run on that CST records them.
+TEST(OneTenantRouterTest, CancelledMissPublishesNoPartitionPlan) {
+  GraphBuilder b;
+  for (VertexId i = 0; i < 30; ++i) {
+    const VertexId base = 3 * i;
+    b.AddVertex(0);
+    b.AddVertex(1);
+    b.AddVertex(2);
+    FAST_CHECK_OK(b.AddEdge(base, base + 1));
+    FAST_CHECK_OK(b.AddEdge(base, base + 2));
+    FAST_CHECK_OK(b.AddEdge(base + 1, base + 2));
+  }
+  const Graph g = std::move(b).Build().value();
+  RouterOptions options = SmallRouterOptions(1);
+  options.run.fpga.max_new_partials = 4;
+  options.run.partition.max_size_words = 64;  // several partitions
+  TenantRouter svc(options);
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
+  const ExpectedPlanBytes want = PlanBytes(TriangleQuery(), g, options.run);
+
+  std::atomic<int> seen{0};
+  RequestOptions opts;
+  opts.deadline_seconds = 0.05;
+  opts.on_embedding = [&](std::span<const VertexId>) {
+    if (seen.fetch_add(1) == 0) std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  };
+  auto id = svc.Submit(kGraph, TriangleQuery(), opts);
+  ASSERT_TRUE(id.ok());
+  auto cancelled = svc.Wait(*id);
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(cancelled->status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GT(cancelled->graph_epoch, 0u);  // aborted mid-run
+  EXPECT_EQ(cancelled->plan_bytes_charged, want.cst);
+  auto cache = svc.stats().tenants[0].cache;
+  EXPECT_EQ(cache.entries, 1u);
+  EXPECT_EQ(cache.bytes_in_use, want.cst);
+
+  auto recorder = svc.SubmitAndWait(kGraph, TriangleQuery());
+  ASSERT_TRUE(recorder.ok() && recorder->status.ok());
+  EXPECT_TRUE(recorder->cache_hit);
+  EXPECT_EQ(recorder->run.embeddings, 30u);
+  EXPECT_EQ(recorder->plan_bytes_charged, want.total - want.cst);
+  auto replay = svc.SubmitAndWait(kGraph, TriangleQuery());
+  ASSERT_TRUE(replay.ok() && replay->status.ok());
+  EXPECT_EQ(replay->run.embeddings, 30u);
+  EXPECT_EQ(replay->run.counters, recorder->run.counters);
+  cache = svc.stats().tenants[0].cache;
+  EXPECT_EQ(cache.replay_hits, 1u);
+  EXPECT_EQ(cache.bytes_in_use, want.total);
+  EXPECT_EQ(cache.insertions, 1u);
+}
+
+// Concurrent requests from a cold cache: whichever recorded first publishes
+// the partition plan, the others' are dropped, so the cache holds one
+// plan's bytes and every request counts exactly what the pipeline counts.
+// Under TSan this checks that the shared plan is only ever read.
+TEST(OneTenantRouterTest, ConcurrentRequestsShareOnePartitionPlan) {
+  const Graph g = SmallLdbcGraph();
+  const QueryGraph q = LdbcQuery(4).value();
+  RouterOptions options = SmallRouterOptions(4);
+  options.run.partition.max_size_words = 256;
+  TenantRouter svc(options);
+  ASSERT_TRUE(svc.AddTenant(kGraph, g, SmallTenantOptions()).ok());
+  const ExpectedPlanBytes want = PlanBytes(q, g, options.run);
+  const FastRunResult reference = RunFast(q, g, options.run).value();
+  ASSERT_GT(reference.partition_stats.num_partitions, 1u);
+
+  constexpr int kClients = 6;
+  constexpr int kRequestsPerClient = 6;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      std::mt19937 rng(static_cast<std::uint32_t>(100 + c));
+      for (int i = 0; i < kRequestsPerClient; ++i) {
+        auto r = svc.SubmitAndWait(kGraph, RandomRelabel(q, &rng));
+        if (!r.ok() || !r->status.ok() || r->run.embeddings != reference.embeddings ||
+            !(r->run.counters == reference.counters) ||
+            !(r->run.partition_stats == reference.partition_stats)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  auto cache = svc.stats().tenants[0].cache;
+  EXPECT_EQ(cache.entries, 1u);
+  EXPECT_EQ(cache.bytes_in_use, want.total);
+  EXPECT_GE(cache.replay_hits, 1u);
+  EXPECT_EQ(cache.hits + cache.misses,
+            static_cast<std::uint64_t>(kClients) * kRequestsPerClient);
+
+  // From here on every request replays that one plan.
+  auto after = svc.SubmitAndWait(kGraph, q);
+  ASSERT_TRUE(after.ok() && after->status.ok());
+  EXPECT_EQ(after->run.counters, reference.counters);
+  EXPECT_EQ(svc.stats().tenants[0].cache.replay_hits, cache.replay_hits + 1);
 }
 
 // Concurrent hits share one cached CST: several clients on four workers

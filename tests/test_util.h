@@ -9,7 +9,10 @@
 #include <set>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "core/result_collector.h"
+#include "cst/cst.h"
 #include "graph/graph.h"
 #include "ldbc/ldbc.h"
 #include "query/query_graph.h"
@@ -112,6 +115,30 @@ inline Graph PaperDataGraph() {
   auto g = std::move(b).Build();
   FAST_CHECK(g.ok());
   return std::move(g).value();
+}
+
+// Whether two CSTs are the same structure: same candidate sets, and the same
+// offsets and targets in every directed slot.
+inline ::testing::AssertionResult SameCst(const Cst& a, const Cst& b) {
+  if (a.NumQueryVertices() != b.NumQueryVertices()) {
+    return ::testing::AssertionFailure() << "query arity differs";
+  }
+  for (VertexId u = 0; u < a.NumQueryVertices(); ++u) {
+    if (!std::ranges::equal(a.Candidates(u), b.Candidates(u))) {
+      return ::testing::AssertionFailure() << "C(u" << u << ") differs";
+    }
+  }
+  for (std::size_t s = 0; s < a.layout().edges().size(); ++s) {
+    const int slot = static_cast<int>(s);
+    if (a.EdgeList(slot).offsets != b.EdgeList(slot).offsets ||
+        a.EdgeList(slot).targets != b.EdgeList(slot).targets) {
+      return ::testing::AssertionFailure() << "edge list " << s << " differs";
+    }
+  }
+  if (a.non_tree_materialized() != b.non_tree_materialized()) {
+    return ::testing::AssertionFailure() << "non-tree materialization differs";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 // A small deterministic LDBC graph for integration-style tests.
